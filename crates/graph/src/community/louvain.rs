@@ -144,32 +144,30 @@ fn local_moving(wg: &WeightedGraph, config: &LouvainConfig) -> (Vec<u32>, bool) 
     let n = wg.num_nodes();
     let two_m = wg.total_weight.max(1.0);
     let mut assign: Vec<u32> = (0..n as u32).collect();
-    // Sum of weighted degrees per community.
-    let mut sigma_tot: Vec<f64> = (0..n).map(|v| wg.weighted_degree(v)).collect();
     let node_degree: Vec<f64> = (0..n).map(|v| wg.weighted_degree(v)).collect();
+    // Sum of weighted degrees per community.
+    let mut sigma_tot = node_degree.clone();
 
     let mut improved_any = false;
-    let mut neighbor_weight: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+    let mut neighbor_weight = CommunityWeights::new(n);
     for _sweep in 0..config.max_sweeps {
         let mut moved = false;
         for v in 0..n {
             let current = assign[v];
-            neighbor_weight.clear();
             for &(u, w) in &wg.adj[v] {
-                *neighbor_weight.entry(assign[u as usize]).or_insert(0.0) += w;
+                neighbor_weight.add(assign[u as usize], w);
             }
             // Remove v from its community.
             sigma_tot[current as usize] -= node_degree[v];
-            let w_current = neighbor_weight.get(&current).copied().unwrap_or(0.0);
+            let w_current = neighbor_weight.weight(current);
 
             // Gain of joining community c: k_{v,c} - k_v * sigma_c / 2m
             // (constant factors dropped; comparisons are unaffected).
             let mut best = current;
             let mut best_gain = w_current - node_degree[v] * sigma_tot[current as usize] / two_m;
-            // Iterate candidate communities in sorted order for determinism.
-            let mut candidates: Vec<_> = neighbor_weight.iter().map(|(&c, &w)| (c, w)).collect();
-            candidates.sort_unstable_by_key(|a| a.0);
-            for (c, w) in candidates {
+            // Candidates in ascending community id; the strict `>` keeps
+            // the lowest id among ties.
+            for (c, w) in neighbor_weight.sorted() {
                 if c == current {
                     continue;
                 }
@@ -179,6 +177,7 @@ fn local_moving(wg: &WeightedGraph, config: &LouvainConfig) -> (Vec<u32>, bool) 
                     best = c;
                 }
             }
+            neighbor_weight.clear();
             sigma_tot[best as usize] += node_degree[v];
             if best != current {
                 assign[v] = best;
@@ -196,34 +195,39 @@ fn local_moving(wg: &WeightedGraph, config: &LouvainConfig) -> (Vec<u32>, bool) 
 /// Phase 2: collapse communities into super-nodes. `assign` must already be
 /// dense over `0..num_comm`.
 fn aggregate(wg: &WeightedGraph, assign: &[u32], num_comm: usize) -> WeightedGraph {
-    let mut adj_maps: Vec<std::collections::HashMap<u32, f64>> =
-        vec![std::collections::HashMap::new(); num_comm];
-    let mut self_loop = vec![0.0; num_comm];
+    // `2m` in node order; the community-grouped pass below would reorder
+    // its terms.
     let mut total = 0.0;
     for v in 0..wg.num_nodes() {
-        let cv = assign[v];
-        self_loop[cv as usize] += wg.self_loop[v];
         total += 2.0 * wg.self_loop[v];
-        for &(u, w) in &wg.adj[v] {
-            let cu = assign[u as usize];
+        for &(_, w) in &wg.adj[v] {
             total += w;
-            if cu == cv {
-                // Each intra edge appears twice (symmetric adj); self-loop
-                // weight counts each undirected edge once.
-                self_loop[cv as usize] += w / 2.0;
-            } else {
-                *adj_maps[cv as usize].entry(cu).or_insert(0.0) += w;
-            }
         }
     }
-    let adj = adj_maps
-        .into_iter()
-        .map(|m| {
-            let mut list: Vec<_> = m.into_iter().collect();
-            list.sort_unstable_by_key(|a| a.0);
-            list
-        })
-        .collect();
+    // Members ascend by node id inside each community, so every per-pair
+    // sum below adds its terms in node order.
+    let (start, members) = group_by_community(assign, num_comm);
+    let mut self_loop = vec![0.0; num_comm];
+    let mut adj = Vec::with_capacity(num_comm);
+    let mut neighbor_weight = CommunityWeights::new(num_comm);
+    for (cv, loop_weight) in self_loop.iter_mut().enumerate() {
+        for &v in &members[start[cv]..start[cv + 1]] {
+            let v = v as usize;
+            *loop_weight += wg.self_loop[v];
+            for &(u, w) in &wg.adj[v] {
+                let cu = assign[u as usize];
+                if cu as usize == cv {
+                    // Each intra edge appears twice (symmetric adj); self-loop
+                    // weight counts each undirected edge once.
+                    *loop_weight += w / 2.0;
+                } else {
+                    neighbor_weight.add(cu, w);
+                }
+            }
+        }
+        adj.push(neighbor_weight.sorted().collect());
+        neighbor_weight.clear();
+    }
     WeightedGraph {
         adj,
         self_loop,
@@ -231,19 +235,94 @@ fn aggregate(wg: &WeightedGraph, assign: &[u32], num_comm: usize) -> WeightedGra
     }
 }
 
+/// Dense scratch that sums edge weights per community id: an accumulator,
+/// a seen flag per id, and the list of ids touched since the last clear.
+struct CommunityWeights {
+    weight: Vec<f64>,
+    seen: Vec<bool>,
+    touched: Vec<u32>,
+}
+
+impl CommunityWeights {
+    fn new(num_ids: usize) -> Self {
+        Self {
+            weight: vec![0.0; num_ids],
+            seen: vec![false; num_ids],
+            touched: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, c: u32, w: f64) {
+        let i = c as usize;
+        if !self.seen[i] {
+            self.seen[i] = true;
+            self.touched.push(c);
+        }
+        self.weight[i] += w;
+    }
+
+    /// Summed weight of `c` (0 when untouched).
+    #[inline]
+    fn weight(&self, c: u32) -> f64 {
+        self.weight[c as usize]
+    }
+
+    /// Sorts the touched ids ascending and yields `(id, weight)` in that
+    /// order.
+    fn sorted(&mut self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.touched.sort_unstable();
+        self.touched.iter().map(|&c| (c, self.weight[c as usize]))
+    }
+
+    /// Resets only the touched ids.
+    fn clear(&mut self) {
+        for &c in &self.touched {
+            self.weight[c as usize] = 0.0;
+            self.seen[c as usize] = false;
+        }
+        self.touched.clear();
+    }
+}
+
+/// Counting sort of nodes by community: members of community `c` are
+/// `members[start[c]..start[c + 1]]`, in ascending node id. `community_of`
+/// must be dense over `0..num_comm`.
+pub(crate) fn group_by_community(
+    community_of: &[u32],
+    num_comm: usize,
+) -> (Vec<usize>, Vec<NodeId>) {
+    let mut start = vec![0usize; num_comm + 1];
+    for &c in community_of {
+        start[c as usize + 1] += 1;
+    }
+    for c in 0..num_comm {
+        start[c + 1] += start[c];
+    }
+    let mut next = start[..num_comm].to_vec();
+    let mut members = vec![0; community_of.len()];
+    for (v, &c) in community_of.iter().enumerate() {
+        members[next[c as usize]] = v as NodeId;
+        next[c as usize] += 1;
+    }
+    (start, members)
+}
+
 /// Renumbers arbitrary ids to dense `0..k`, preserving first-appearance
 /// order. Returns the dense assignment and `k`.
 fn densify(assign: &[u32]) -> (Vec<u32>, usize) {
-    let mut map = std::collections::HashMap::new();
+    let bound = assign.iter().max().map_or(0, |&c| c as usize + 1);
+    let mut map = vec![u32::MAX; bound];
     let mut next = 0u32;
     let dense = assign
         .iter()
         .map(|&c| {
-            *map.entry(c).or_insert_with(|| {
-                let id = next;
+            let id = &mut map[c as usize];
+            if *id == u32::MAX {
+                *id = next;
                 next += 1;
-                id
-            })
+            }
+            *id
         })
         .collect();
     (dense, next as usize)

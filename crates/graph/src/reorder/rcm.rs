@@ -6,6 +6,8 @@
 //! neighbors visited in ascending-degree order, reversed at the end; it is
 //! the classic bandwidth-reduction ordering for sparse matrices.
 
+use std::collections::VecDeque;
+
 use crate::csr::{Csr, NodeId};
 
 /// Computes the RCM ordering of a node subset.
@@ -16,50 +18,93 @@ use crate::csr::{Csr, NodeId};
 /// the `i`-th id. Disconnected parts of the subset are ordered one
 /// component at a time, each started from its minimum-degree node.
 pub fn rcm_order(graph: &Csr, subset: &[NodeId]) -> Vec<NodeId> {
-    if subset.is_empty() {
-        return Vec::new();
-    }
-    // Membership and local degree (within-subset) computation.
-    let in_subset: std::collections::HashSet<NodeId> = subset.iter().copied().collect();
-    let local_degree = |v: NodeId| -> usize {
-        graph
-            .neighbors(v)
-            .iter()
-            .filter(|u| in_subset.contains(u))
-            .count()
-    };
+    let mut order = Vec::with_capacity(subset.len());
+    RcmScratch::new(graph.num_nodes()).order_into(graph, subset, &mut order);
+    order
+}
 
-    let mut visited: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-    let mut order: Vec<NodeId> = Vec::with_capacity(subset.len());
+/// Dense per-node state for [`rcm_order`], reusable across subsets of one
+/// graph. Membership and visited flags are stamps of the current subset's
+/// epoch, so starting a new subset costs nothing. Epochs are `u32`: one
+/// scratch serves up to `u32::MAX` subsets, more than the communities of
+/// any graph with `u32` node ids.
+pub(crate) struct RcmScratch {
+    epoch: u32,
+    member: Vec<u32>,
+    visited: Vec<u32>,
+    local_degree: Vec<u32>,
+    starts: Vec<NodeId>,
+    next: Vec<NodeId>,
+    queue: VecDeque<NodeId>,
+}
 
-    // Candidate start nodes sorted by (degree, id) for determinism.
-    let mut starts: Vec<NodeId> = subset.to_vec();
-    starts.sort_unstable_by_key(|&v| (local_degree(v), v));
-
-    let mut queue = std::collections::VecDeque::new();
-    for &start in &starts {
-        if visited.contains(&start) {
-            continue;
+impl RcmScratch {
+    pub(crate) fn new(num_nodes: usize) -> Self {
+        Self {
+            epoch: 0,
+            member: vec![0; num_nodes],
+            visited: vec![0; num_nodes],
+            local_degree: vec![0; num_nodes],
+            starts: Vec::new(),
+            next: Vec::new(),
+            queue: VecDeque::new(),
         }
-        visited.insert(start);
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            let mut next: Vec<NodeId> = graph
+    }
+
+    /// Appends the RCM ordering of `subset` (see [`rcm_order`]) to `out`.
+    pub(crate) fn order_into(&mut self, graph: &Csr, subset: &[NodeId], out: &mut Vec<NodeId>) {
+        self.epoch += 1;
+        let Self {
+            epoch,
+            member,
+            visited,
+            local_degree,
+            starts,
+            next,
+            queue,
+        } = self;
+        let epoch = *epoch;
+        for &v in subset {
+            member[v as usize] = epoch;
+        }
+        // Within-subset degree, counted once per node.
+        for &v in subset {
+            local_degree[v as usize] = graph
                 .neighbors(v)
                 .iter()
-                .copied()
-                .filter(|u| in_subset.contains(u) && !visited.contains(u))
-                .collect();
-            next.sort_unstable_by_key(|&u| (local_degree(u), u));
-            for u in next {
-                visited.insert(u);
-                queue.push_back(u);
+                .filter(|&&u| member[u as usize] == epoch)
+                .count() as u32;
+        }
+
+        // Candidate start nodes sorted by (degree, id) for determinism.
+        starts.clear();
+        starts.extend_from_slice(subset);
+        starts.sort_unstable_by_key(|&v| (local_degree[v as usize], v));
+
+        let first = out.len();
+        for &start in starts.iter() {
+            if visited[start as usize] == epoch {
+                continue;
+            }
+            visited[start as usize] = epoch;
+            queue.push_back(start);
+            while let Some(v) = queue.pop_front() {
+                out.push(v);
+                // Marking while collecting enqueues a repeated neighbor once.
+                next.clear();
+                for &u in graph.neighbors(v) {
+                    let u_idx = u as usize;
+                    if member[u_idx] == epoch && visited[u_idx] != epoch {
+                        visited[u_idx] = epoch;
+                        next.push(u);
+                    }
+                }
+                next.sort_unstable_by_key(|&u| (local_degree[u as usize], u));
+                queue.extend(next.iter().copied());
             }
         }
+        out[first..].reverse();
     }
-    order.reverse();
-    order
 }
 
 #[cfg(test)]
@@ -133,5 +178,31 @@ mod tests {
             .expect("valid");
         let s: Vec<NodeId> = (0..5).collect();
         assert_eq!(rcm_order(&g, &s), rcm_order(&g, &s));
+    }
+
+    /// One scratch reused across many subsets — disjoint, overlapping,
+    /// repeated and empty — orders each exactly as a fresh call does.
+    #[test]
+    fn reused_scratch_matches_fresh_calls() {
+        use crate::generators::{community_graph, CommunityParams};
+        let params = CommunityParams {
+            num_nodes: 300,
+            num_edges: 3_000,
+            mean_community: 20,
+            ..Default::default()
+        };
+        let (g, _) = community_graph(&params, 11).expect("valid");
+        let mut scratch = RcmScratch::new(g.num_nodes());
+        for round in 0..200u32 {
+            let stride = 1 + round % 7;
+            let len = (round as usize * 13) % 90;
+            let subset: Vec<NodeId> = (0..len as u32)
+                .map(|i| (round * 31 + i * stride) % g.num_nodes() as u32)
+                .collect();
+            let mut reused = vec![u32::MAX];
+            scratch.order_into(&g, &subset, &mut reused);
+            assert_eq!(reused[0], u32::MAX, "order_into must only append");
+            assert_eq!(reused[1..], rcm_order(&g, &subset)[..], "round {round}");
+        }
     }
 }

@@ -12,9 +12,10 @@
 //! to the node-feature matrix before building workloads, improving the
 //! temporal and spatial locality of aggregation (evaluated in Figure 12).
 
+use crate::community::louvain::group_by_community;
 use crate::community::{louvain, LouvainConfig};
-use crate::csr::{Csr, NodeId};
-use crate::reorder::rcm::rcm_order;
+use crate::csr::Csr;
+use crate::reorder::rcm::RcmScratch;
 use crate::{Permutation, Result};
 
 /// Configuration for the renumbering pipeline.
@@ -42,26 +43,22 @@ pub struct RenumberResult {
 
 /// Runs the Section 6.1 pipeline on a symmetric graph.
 pub fn renumber(graph: &Csr, config: &RenumberConfig) -> Result<RenumberResult> {
-    let n = graph.num_nodes();
     let detected = louvain(graph, &config.louvain);
 
-    // Bucket nodes per community, communities ordered by their minimum
-    // original id so the output is stable.
-    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); detected.num_communities.max(1)];
-    for v in 0..n as NodeId {
-        members[detected.community_of[v as usize] as usize].push(v);
-    }
-    members.retain(|m| !m.is_empty());
-    members.sort_unstable_by_key(|m| m[0]);
-
-    let mut order: Vec<NodeId> = Vec::with_capacity(n);
-    for community in &members {
-        if config.skip_rcm {
-            order.extend_from_slice(community);
-        } else {
-            order.extend(rcm_order(graph, community));
+    // Louvain numbers communities by first appearance over ascending node
+    // id, so bucketing by id already orders communities by their minimum
+    // member and keeps each community in ascending id.
+    let (start, members) = group_by_community(&detected.community_of, detected.num_communities);
+    let order = if config.skip_rcm {
+        members
+    } else {
+        let mut scratch = RcmScratch::new(graph.num_nodes());
+        let mut order = Vec::with_capacity(members.len());
+        for bounds in start.windows(2) {
+            scratch.order_into(graph, &members[bounds[0]..bounds[1]], &mut order);
         }
-    }
+        order
+    };
     let permutation = Permutation::from_order(order)?;
     Ok(RenumberResult {
         permutation,
@@ -74,6 +71,7 @@ pub fn renumber(graph: &Csr, config: &RenumberConfig) -> Result<RenumberResult> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::NodeId;
     use crate::generators::{community_graph, CommunityParams};
     use crate::stats::locality_score;
 
@@ -246,5 +244,18 @@ mod tests {
             g2.permute(&r.permutation).expect("valid").num_edges(),
             g2.num_edges()
         );
+    }
+
+    /// Regression: a CSR may list a neighbor more than once. RCM used to
+    /// enqueue such a node once per entry, so the order held it twice and
+    /// `renumber` failed with "duplicate source id".
+    #[test]
+    fn repeated_neighbors_renumber() {
+        let g = Csr::from_raw(3, vec![0, 2, 4, 4], vec![1, 1, 0, 0]).expect("valid CSR");
+        let r = renumber(&g, &RenumberConfig::default()).expect("repeated neighbors renumber");
+        assert_eq!(r.permutation.len(), 3);
+        let mut ids = r.permutation.as_slice().to_vec();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![0, 1, 2]);
     }
 }

@@ -19,6 +19,9 @@ cargo build --offline --workspace --examples
 echo "==> cargo test -q"
 cargo test --offline --workspace -q
 
+echo "==> renumbering oracle: every Table 1 generator bit-identical to the reference"
+cargo test --offline --release -q --test table1_renumber_oracle -- --ignored
+
 echo "==> profile smoke: trace bytes stable across runs and worker counts"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
