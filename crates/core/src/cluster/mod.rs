@@ -38,11 +38,13 @@ pub use tenant::{
 };
 
 use gnnadvisor_gpu::fault::FaultKind;
-use gnnadvisor_gpu::stream::OpHandle;
-use gnnadvisor_gpu::{Engine, StreamSim, Workload};
+use gnnadvisor_gpu::{Engine, StreamSim};
 
+use crate::serving::exec::{
+    enqueue_attempt, rate, run_schedules, shared_clock, validate_shape, Outcome, Tally,
+};
 use crate::serving::percentile;
-use crate::serving::{BatchExecutor, BatchPolicy, DeviceWork, QueuePolicy, Request, RetryPolicy};
+use crate::serving::{BatchExecutor, BatchPolicy, QueuePolicy, Request, RetryPolicy};
 use crate::{CoreError, Result};
 
 /// Shape of the cluster: replica/stream counts plus the shared policies.
@@ -211,31 +213,13 @@ impl ClusterReport {
     }
 }
 
-/// How one batch's cluster-wide retry chain ended.
-enum Outcome {
-    /// Some attempt ran fault-free on `replica`; `tail` is its last op
-    /// (`None`: the batch planned no device ops and completes at its
-    /// dispatch instant).
-    Done {
-        replica: usize,
-        tail: Option<OpHandle>,
-    },
-    /// Every attempt faulted; the batch's requests failed.
-    Exhausted,
-}
-
 fn validate(engines: &[Engine], cfg: &ClusterConfig) -> Result<usize> {
     if cfg.replicas == 0 {
         return Err(CoreError::Serving {
             reason: "the cluster needs at least one replica".into(),
         });
     }
-    if cfg.streams == 0 {
-        return Err(CoreError::Serving {
-            reason: "streams per replica must be at least 1".into(),
-        });
-    }
-    cfg.retry.validate()?;
+    validate_shape(cfg.streams, &cfg.retry)?;
     let slots = match &cfg.autoscaler {
         Some(a) => {
             a.validate()?;
@@ -261,11 +245,12 @@ fn validate(engines: &[Engine], cfg: &ClusterConfig) -> Result<usize> {
 /// failover, and per-tenant SLO accounting.
 ///
 /// `engines` supplies one engine per replica *slot* — at least
-/// `max(cfg.replicas, autoscaler.max_replicas)` of them; slots beyond the
-/// active count idle until the autoscaler activates them. Replica failure
-/// is modeled by an engine whose fault plan carries a `device_reset_ms`:
-/// the reset kills the in-flight attempt, the batch retries on another
-/// replica, and the dead slot leaves the active set for good.
+/// `max(cfg.replicas, autoscaler.max_replicas)` of them, all running the
+/// same `GpuSpec`; slots beyond the active count idle until the
+/// autoscaler activates them. Replica failure is modeled by an engine
+/// whose fault plan carries a `device_reset_ms`: the reset kills the
+/// in-flight attempt, the batch retries on another replica, and the dead
+/// slot leaves the active set for good.
 pub fn simulate_cluster(
     engines: &[Engine],
     arrivals: &[Request],
@@ -276,12 +261,9 @@ pub fn simulate_cluster(
 ) -> Result<ClusterReport> {
     let slots = validate(engines, cfg)?;
     let engines = &engines[..slots];
+    let clock = shared_clock(engines)?;
     let plan = plan_cluster_batches(arrivals, tenant_of, tenants, &cfg.queue, &cfg.batch)?;
 
-    // The router and the latency estimator keep time in replica 0's
-    // cycles (every CLI/bench path builds identical specs; with mixed
-    // specs the estimates stay deterministic, merely coarser).
-    let clock = engines[0].spec().clone();
     let mut sims: Vec<StreamSim> = engines.iter().map(StreamSim::new).collect();
     let streams: Vec<Vec<_>> = sims
         .iter_mut()
@@ -334,45 +316,14 @@ pub fn simulate_cluster(
                 Some(x) if active.len() > 1 => active.iter().copied().filter(|&r| r != x).collect(),
                 _ => active.clone(),
             };
-            let placement = router.route(&avail, clock.ms_to_cycles(release_ms));
+            let release = clock.ms_to_cycles(release_ms);
+            let placement = router.route(&avail, release);
             let replica = placement.replica;
             per_replica_batches[replica] += 1;
-            let spec = engines[replica].spec();
-            let release = spec.ms_to_cycles(release_ms);
-
-            let mut tail = None;
-            let mut attempt_ms = 0.0f64;
-            let mut fault: Option<FaultKind> = None;
-            for op in &work.ops {
-                let workload = match op {
-                    DeviceWork::Kernel(k) => Workload::Kernel(&**k),
-                    DeviceWork::Gemm { m, n, k } => Workload::Gemm {
-                        m: *m,
-                        n: *n,
-                        k: *k,
-                    },
-                    DeviceWork::Transfer { bytes } => Workload::Transfer { bytes: *bytes },
-                };
-                let enq = sims[replica].try_enqueue_at(
-                    streams[replica][placement.stream],
-                    workload,
-                    release,
-                )?;
-                attempt_ms += enq.metrics.time_ms();
-                if let Some(kind) = enq.fault {
-                    // The faulted op burns its time; the attempt's
-                    // remaining ops are never issued.
-                    fault = Some(kind);
-                    break;
-                }
-                tail = Some(enq.handle);
-            }
-            let est_end = router.commit(
-                placement,
-                clock.ms_to_cycles(release_ms),
-                clock.ms_to_cycles(attempt_ms),
-            );
-            match fault {
+            let stream = streams[replica][placement.stream];
+            let a = enqueue_attempt(&mut sims[replica], clock, stream, &work, release)?;
+            let est_end = router.commit(placement, release, a.cycles);
+            match a.fault {
                 None => {
                     // Feed the latency estimator (sorted insert) so the
                     // autoscaler's p99 signal tracks estimated service.
@@ -382,7 +333,10 @@ pub fn simulate_cluster(
                         let at = est_latencies.partition_point(|&x| x < est);
                         est_latencies.insert(at, est);
                     }
-                    outcome = Outcome::Done { replica, tail };
+                    outcome = Outcome::Done {
+                        replica,
+                        tail: a.tail,
+                    };
                     break;
                 }
                 Some(kind) => {
@@ -399,8 +353,8 @@ pub fn simulate_cluster(
                         break;
                     }
                     retries += 1;
-                    release_ms = spec.cycles_to_ms(release + spec.ms_to_cycles(attempt_ms))
-                        + cfg.retry.backoff_ms(i, attempt);
+                    release_ms =
+                        clock.cycles_to_ms(release + a.cycles) + cfg.retry.backoff_ms(i, attempt);
                     exclude = Some(replica);
                 }
             }
@@ -408,83 +362,43 @@ pub fn simulate_cluster(
         outcomes.push(outcome);
     }
 
-    let reports: Vec<_> = sims
+    let reports = run_schedules(sims)?;
+    let mut tallies: Vec<Tally> = tenants.iter().map(|_| Tally::default()).collect();
+    for (cb, outcome) in plan.batches.iter().zip(&outcomes) {
+        let deadline = tenants[cb.tenant].deadline_ms;
+        tallies[cb.tenant].settle(outcome, &cb.batch, &reports, clock, deadline);
+    }
+    // One schedule span for every tenant's rates.
+    let makespan_ms = reports.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
+    let span_ms = tallies
+        .iter()
+        .fold(makespan_ms, |span, t| span.max(t.last_end_ms));
+
+    let rows: Vec<TenantRow> = tallies
         .into_iter()
-        .map(|sim| sim.run())
-        .collect::<gnnadvisor_gpu::Result<_>>()?;
-
-    // Classification per tenant.
-    let n = tenants.len();
-    let mut t_arrivals = vec![0usize; n];
-    for &t in tenant_of {
-        t_arrivals[t] += 1;
-    }
-    let mut t_completed_lat: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut t_failed = vec![0usize; n];
-    let mut t_missed = vec![0usize; n];
-    let mut span_ms = reports.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
-    for (cb, outcome) in plan.batches.iter().zip(outcomes) {
-        match outcome {
-            Outcome::Exhausted => t_failed[cb.tenant] += cb.batch.requests.len(),
-            Outcome::Done { replica, tail } => {
-                let end_ms = match tail {
-                    Some(handle) => {
-                        let end = reports[replica]
-                            .op_end(handle)
-                            .expect("committed op has a span");
-                        engines[replica].spec().cycles_to_ms(end)
-                    }
-                    None => cb.batch.dispatch_ms,
-                };
-                span_ms = span_ms.max(end_ms);
-                let deadline = tenants[cb.tenant].deadline_ms;
-                for request in &cb.batch.requests {
-                    let latency = (end_ms - request.arrival_ms).max(0.0);
-                    match deadline {
-                        Some(d) if latency > d => t_missed[cb.tenant] += 1,
-                        _ => t_completed_lat[cb.tenant].push(latency),
-                    }
-                }
+        .enumerate()
+        .map(|(t, tally)| {
+            let stats = tally.finish(span_ms);
+            let arrivals = tenant_of.iter().filter(|&&of| of == t).count();
+            TenantRow {
+                name: tenants[t].name.clone(),
+                arrivals,
+                completed: stats.completed,
+                shed: plan.shed_per_tenant[t],
+                failed: stats.failed,
+                deadline_missed: stats.deadline_missed,
+                p50_ms: stats.p50_ms,
+                p95_ms: stats.p95_ms,
+                p99_ms: stats.p99_ms,
+                mean_ms: stats.mean_ms,
+                goodput_rps: stats.goodput_rps,
+                slo_attainment: match arrivals {
+                    0 => 1.0,
+                    n => stats.completed as f64 / n as f64,
+                },
             }
-        }
-    }
-
-    let rate = |count: usize| {
-        if span_ms > 0.0 {
-            count as f64 * 1000.0 / span_ms
-        } else {
-            0.0
-        }
-    };
-    let mut rows = Vec::with_capacity(n);
-    for (t, spec) in tenants.iter().enumerate() {
-        let mut lat = std::mem::take(&mut t_completed_lat[t]);
-        lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let completed = lat.len();
-        let mean_ms = if completed == 0 {
-            0.0
-        } else {
-            lat.iter().sum::<f64>() / completed as f64
-        };
-        rows.push(TenantRow {
-            name: spec.name.clone(),
-            arrivals: t_arrivals[t],
-            completed,
-            shed: plan.shed_per_tenant[t],
-            failed: t_failed[t],
-            deadline_missed: t_missed[t],
-            p50_ms: percentile(&lat, 50.0),
-            p95_ms: percentile(&lat, 95.0),
-            p99_ms: percentile(&lat, 99.0),
-            mean_ms,
-            goodput_rps: rate(completed),
-            slo_attainment: if t_arrivals[t] == 0 {
-                1.0
-            } else {
-                completed as f64 / t_arrivals[t] as f64
-            },
-        });
-    }
+        })
+        .collect();
 
     let completed: usize = rows.iter().map(|r| r.completed).sum();
     let shed: u64 = rows.iter().map(|r| r.shed).sum();
@@ -503,9 +417,9 @@ pub fn simulate_cluster(
         dead_replicas: (0..slots).filter(|&r| dead[r]).collect(),
         scale_events: scaler.map(Autoscaler::into_events).unwrap_or_default(),
         peak_active,
-        throughput_rps: rate(completed + deadline_missed),
-        goodput_rps: rate(completed),
-        makespan_ms: reports.iter().map(|r| r.makespan_ms).fold(0.0, f64::max),
+        throughput_rps: rate(completed + deadline_missed, span_ms),
+        goodput_rps: rate(completed, span_ms),
+        makespan_ms,
     })
 }
 
@@ -513,7 +427,7 @@ pub fn simulate_cluster(
 mod tests {
     use super::*;
     use crate::serving::{generate_arrivals, generate_mmpp_arrivals, ArrivalConfig, MmppConfig};
-    use crate::serving::{BatchWork, DispatchedBatch};
+    use crate::serving::{BatchWork, DeviceWork, DispatchedBatch};
     use gnnadvisor_gpu::{FaultConfig, FaultPlan, GpuSpec};
     use std::sync::Arc;
 
@@ -859,6 +773,30 @@ mod tests {
             &mut exec(),
         )
         .is_err());
+    }
+
+    #[test]
+    fn mixed_spec_fleets_are_rejected() {
+        // Router estimates, retry releases and completion instants share
+        // one clock, so every replica slot must run the same spec.
+        let (arrivals, tenant_of) = trace(8);
+        let fleet = [
+            Engine::new(GpuSpec::quadro_p6000()),
+            Engine::new(GpuSpec::tesla_v100()),
+        ];
+        let run = |engines: &[Engine], replicas: usize| {
+            simulate_cluster(
+                engines,
+                &arrivals,
+                &tenant_of,
+                &tenants2(),
+                &config(replicas),
+                &mut exec(),
+            )
+        };
+        assert!(matches!(run(&fleet, 2), Err(CoreError::Serving { .. })));
+        // Engines past the slot count never run, so their spec is free.
+        run(&fleet, 1).expect("one slot is one spec");
     }
 
     #[test]

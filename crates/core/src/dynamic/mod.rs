@@ -25,22 +25,23 @@
 //!   — amortizing the rebuild against the recovered kernel speed.
 //!
 //! The arrival/admission/batching/retry/deadline machinery is the
-//! serving pipeline's, reused verbatim ([`plan_batches`], the stream
-//! round-robin, the conservation invariant); batches may round-robin
-//! across several replica engines (the cluster integration: replicated
-//! serving over one evolving graph). Everything downstream of the seeds
-//! is deterministic and byte-identical at any `GNNADVISOR_SIM_THREADS`.
+//! serving core's ([`plan_batches`], the slot round-robin, the retry
+//! chain, the conservation invariant); batches may round-robin across
+//! several replica engines of one `GpuSpec` (the cluster integration:
+//! replicated serving over one evolving graph). Everything downstream of
+//! the seeds is deterministic and byte-identical at any
+//! `GNNADVISOR_SIM_THREADS`.
 
-use gnnadvisor_gpu::stream::OpHandle;
-use gnnadvisor_gpu::{BlockSink, Engine, GridConfig, HitRateWindow, Kernel, StreamSim, Workload};
+use gnnadvisor_gpu::{BlockSink, Engine, GridConfig, HitRateWindow, Kernel};
 use gnnadvisor_graph::dynamic::{DeltaCsr, UpdateEvent, UpdateKind};
 use gnnadvisor_graph::reorder::{renumber, RenumberConfig};
 use gnnadvisor_graph::{Csr, NodeId};
 
 use crate::kernels::advisor::AdvisorKernel;
 use crate::memory::organize::{organize_shared, SharedLayout};
+use crate::serving::exec::SlotServer;
 use crate::serving::{
-    plan_batches, BatchWork, DeviceWork, DispatchedBatch, Request, ServingConfig, ServingReport,
+    plan_batches, BatchWork, DispatchedBatch, Request, ServingConfig, ServingReport,
 };
 use crate::tuning::params::RuntimeParams;
 use crate::workload::group::{partition_groups, NeighborGroup};
@@ -371,12 +372,6 @@ fn mean_rate<'a, I: Iterator<Item = &'a SnapshotRow>>(rows: I) -> f64 {
     }
 }
 
-/// How one batch's retry chain ended (mirrors the serving pipeline).
-enum BatchOutcome {
-    Done(Option<OpHandle>),
-    Exhausted,
-}
-
 /// The mutable graph side of the run: the live delta CSR plus the
 /// stream-space → current-space id map that survives renumbering.
 struct LiveGraph {
@@ -465,7 +460,8 @@ impl LiveGraph {
 ///
 /// `updates` must be sorted by `at_ms` (as [`generate_updates`]
 /// produces) and reference stream-space node ids; `base` must be
-/// symmetric (the renumbering pipeline's contract).
+/// symmetric (the renumbering pipeline's contract); every engine must
+/// run the same `GpuSpec`.
 pub fn simulate_dynamic(
     engines: &[Engine],
     base: Csr,
@@ -474,24 +470,7 @@ pub fn simulate_dynamic(
     cfg: &DynamicConfig,
     exec: &mut dyn SnapshotExecutor,
 ) -> Result<DynamicReport> {
-    if engines.is_empty() {
-        return Err(CoreError::Serving {
-            reason: "at least one replica engine is required".into(),
-        });
-    }
-    if cfg.serving.streams == 0 {
-        return Err(CoreError::Serving {
-            reason: "streams must be at least 1".into(),
-        });
-    }
-    cfg.serving.retry.validate()?;
-    if let Some(d) = cfg.serving.deadline_ms {
-        if !(d.is_finite() && d > 0.0) {
-            return Err(CoreError::Serving {
-                reason: format!("deadline_ms must be positive and finite, got {d}"),
-            });
-        }
-    }
+    cfg.serving.validate()?;
     if let Some(p) = &cfg.policy {
         p.validate()?;
     }
@@ -507,18 +486,7 @@ pub fn simulate_dynamic(
     }
 
     let plan = plan_batches(arrivals, &cfg.serving.queue, &cfg.serving.batch)?;
-    let spec = engines[0].spec();
-
-    let mut sims: Vec<StreamSim<'_>> = engines.iter().map(StreamSim::new).collect();
-    let slots: Vec<(usize, gnnadvisor_gpu::StreamId)> = {
-        let mut slots = Vec::with_capacity(engines.len() * cfg.serving.streams);
-        for (replica, sim) in sims.iter_mut().enumerate() {
-            for _ in 0..cfg.serving.streams {
-                slots.push((replica, sim.stream()));
-            }
-        }
-        slots
-    };
+    let mut server = SlotServer::new(engines, cfg.serving.streams)?;
 
     let mut live = LiveGraph::new(base);
     let mut update_idx = 0usize;
@@ -533,10 +501,8 @@ pub fn simulate_dynamic(
     let mut batches_since_rebuild = 0usize;
     let mut maintenance_until_ms = 0.0f64;
 
-    let mut outcomes: Vec<(usize, BatchOutcome)> = Vec::with_capacity(plan.batches.len());
     let mut trajectory: Vec<SnapshotRow> = Vec::with_capacity(plan.batches.len());
     let mut renumbers: Vec<RenumberEvent> = Vec::new();
-    let mut retries = 0u64;
 
     for (i, batch) in plan.batches.iter().enumerate() {
         // 1. Apply every update due by this batch's dispatch instant.
@@ -557,72 +523,29 @@ pub fn simulate_dynamic(
 
         // 2. Pin the batch to a consistent snapshot (cached per version)
         //    and plan its device work against it.
-        let (graph, version) = {
-            let (graph, version) = live.materialized();
-            (graph.clone(), version)
-        };
-        let work = exec.plan(batch, &graph, version)?;
+        let (graph, version) = live.materialized();
+        let work = exec.plan(batch, graph, version)?;
 
         // 3. Execute on the round-robin slot; a pending rebuild stall
-        //    pushes the release time past the dispatch instant.
-        let (replica, stream) = slots[i % slots.len()];
-        let sim = &mut sims[replica];
-        let mut release_ms = batch.dispatch_ms.max(maintenance_until_ms);
-        let mut outcome = BatchOutcome::Exhausted;
-        let (mut batch_hits, mut batch_misses) = (0u64, 0u64);
-        for attempt in 1..=cfg.serving.retry.max_attempts {
-            let release = spec.ms_to_cycles(release_ms);
-            let mut tail = None;
-            let mut attempt_cycles = 0u64;
-            let mut faulted = false;
-            for op in &work.ops {
-                let workload = match op {
-                    DeviceWork::Kernel(k) => Workload::Kernel(&**k),
-                    DeviceWork::Gemm { m, n, k } => Workload::Gemm {
-                        m: *m,
-                        n: *n,
-                        k: *k,
-                    },
-                    DeviceWork::Transfer { bytes } => Workload::Transfer { bytes: *bytes },
-                };
-                let enq = sim.try_enqueue_at(stream, workload, release)?;
-                attempt_cycles += spec.ms_to_cycles(enq.metrics.time_ms());
-                if attempt == 1 {
-                    // The locality signal: kernel L2 traffic of the first
-                    // attempt (retries re-price the same layout).
-                    if let Some(k) = enq.metrics.as_kernel() {
-                        batch_hits += k.l2_hits;
-                        batch_misses += k.l2_misses;
-                    }
-                }
-                if enq.fault.is_some() {
-                    faulted = true;
-                    break;
-                }
-                tail = Some(enq.handle);
-            }
-            if !faulted {
-                outcome = BatchOutcome::Done(tail);
-                break;
-            }
-            if attempt == cfg.serving.retry.max_attempts {
-                break;
-            }
-            retries += 1;
-            release_ms = spec.cycles_to_ms(release + attempt_cycles)
-                + cfg.serving.retry.backoff_ms(i, attempt);
-        }
-        outcomes.push((replica, outcome));
+        //    pushes the release time past the dispatch instant. The
+        //    locality signal is the first attempt's kernel L2 traffic.
+        let chain = server.submit(
+            i,
+            &work,
+            batch.dispatch_ms.max(maintenance_until_ms),
+            &cfg.serving.retry,
+        )?;
 
         // 4. Feed the policy and maybe rebuild.
-        let batch_rate = if batch_hits + batch_misses == 0 {
+        let (hits, misses) = (chain.first.l2_hits, chain.first.l2_misses);
+        let batch_rate = if hits + misses == 0 {
             0.0
         } else {
-            batch_hits as f64 / (batch_hits + batch_misses) as f64
+            hits as f64 / (hits + misses) as f64
         };
         let mut windowed_rate = None;
         if let (Some(p), Some(w)) = (policy, window.as_mut()) {
-            w.push(batch_hits, batch_misses);
+            w.push(hits, misses);
             batches_since_rebuild += 1;
             if w.is_full() {
                 if let Some(rate) = w.rate() {
@@ -635,9 +558,9 @@ pub fn simulate_dynamic(
                         {
                             let edges = live.rebuild()?;
                             let rebuild_ms = edges as f64 * p.rebuild_cost_us_per_edge / 1000.0;
-                            maintenance_until_ms = release_ms + rebuild_ms;
+                            maintenance_until_ms = chain.release_ms + rebuild_ms;
                             renumbers.push(RenumberEvent {
-                                at_ms: release_ms,
+                                at_ms: chain.release_ms,
                                 version: live.delta.version(),
                                 windowed_rate: rate,
                                 baseline_rate: b,
@@ -661,88 +584,7 @@ pub fn simulate_dynamic(
         });
     }
 
-    // 5. Run every replica's schedule and aggregate per-request latencies
-    //    exactly like the serving pipeline.
-    let reports: Vec<_> = sims
-        .into_iter()
-        .map(|sim| sim.run())
-        .collect::<core::result::Result<_, _>>()?;
-
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut failed = 0usize;
-    let mut deadline_missed = 0usize;
-    let mut span_ms = reports.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
-    for (i, (replica, outcome)) in outcomes.into_iter().enumerate() {
-        let batch = &plan.batches[i];
-        match outcome {
-            BatchOutcome::Exhausted => failed += batch.requests.len(),
-            BatchOutcome::Done(tail) => {
-                let end_cycles = match tail {
-                    Some(handle) => reports[replica]
-                        .op_end(handle)
-                        .expect("committed op has a span"),
-                    None => spec.ms_to_cycles(batch.dispatch_ms),
-                };
-                let end_ms = spec.cycles_to_ms(end_cycles);
-                span_ms = span_ms.max(end_ms);
-                for request in &batch.requests {
-                    let latency = (end_ms - request.arrival_ms).max(0.0);
-                    match cfg.serving.deadline_ms {
-                        Some(d) if latency > d => deadline_missed += 1,
-                        _ => latencies.push(latency),
-                    }
-                }
-            }
-        }
-    }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-
-    let completed = latencies.len();
-    let mean_ms = if completed == 0 {
-        0.0
-    } else {
-        latencies.iter().sum::<f64>() / completed as f64
-    };
-    let served = completed + deadline_missed;
-    let (throughput_rps, goodput_rps) = if span_ms > 0.0 {
-        (
-            served as f64 * 1000.0 / span_ms,
-            completed as f64 * 1000.0 / span_ms,
-        )
-    } else {
-        (0.0, 0.0)
-    };
-    let serving = ServingReport {
-        completed,
-        shed: plan.shed,
-        failed,
-        deadline_missed,
-        retries,
-        batches: plan.batches.len(),
-        p50_ms: crate::serving::percentile(&latencies, 50.0),
-        p95_ms: crate::serving::percentile(&latencies, 95.0),
-        p99_ms: crate::serving::percentile(&latencies, 99.0),
-        mean_ms,
-        throughput_rps,
-        goodput_rps,
-        makespan_ms: reports.iter().map(|r| r.makespan_ms).fold(0.0, f64::max),
-        kernel_busy_cycles: reports.iter().map(|r| r.kernel_busy_cycles).sum(),
-        copy_busy_cycles: reports.iter().map(|r| r.copy_busy_cycles).sum(),
-        // Merge per-window means weighted by their kernel time (each
-        // window's mean is already duration-weighted over its spans).
-        mean_kernel_occupancy: {
-            let busy: u64 = reports.iter().map(|r| r.kernel_busy_cycles).sum();
-            if busy == 0 {
-                0.0
-            } else {
-                reports
-                    .iter()
-                    .map(|r| r.mean_kernel_occupancy() * r.kernel_busy_cycles as f64)
-                    .sum::<f64>()
-                    / busy as f64
-            }
-        },
-    };
+    let serving = server.finish(&plan, cfg.serving.deadline_ms)?;
     Ok(DynamicReport {
         serving,
         replicas: engines.len(),
@@ -760,7 +602,9 @@ pub fn simulate_dynamic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::{generate_arrivals, ArrivalConfig, BatchPolicy, QueuePolicy, RetryPolicy};
+    use crate::serving::{
+        generate_arrivals, ArrivalConfig, BatchPolicy, DeviceWork, QueuePolicy, RetryPolicy,
+    };
     use gnnadvisor_gpu::GpuSpec;
     use gnnadvisor_graph::generators::{community_graph, CommunityParams};
 
@@ -1055,6 +899,104 @@ mod tests {
             40,
             "conservation"
         );
+    }
+
+    /// A snapshot executor that ignores the graph and plans what a
+    /// serving executor would: the zero-churn bridge between the two
+    /// pipelines.
+    struct GraphBlind<E>(E);
+
+    impl<E: crate::serving::BatchExecutor> SnapshotExecutor for GraphBlind<E> {
+        fn plan(&mut self, batch: &DispatchedBatch, _: &Csr, _: u64) -> Result<BatchWork> {
+            self.0.plan(batch)
+        }
+    }
+
+    /// Per batch, copies around a GEMM whose rows scale with batch size.
+    struct GemmExecutor;
+
+    impl crate::serving::BatchExecutor for GemmExecutor {
+        fn plan(&mut self, batch: &DispatchedBatch) -> Result<BatchWork> {
+            let rows = 512 * batch.requests.len();
+            let bytes = (rows * 64 * 4) as u64;
+            Ok(BatchWork {
+                ops: vec![
+                    DeviceWork::Transfer { bytes },
+                    DeviceWork::Gemm {
+                        m: rows,
+                        n: 64,
+                        k: 64,
+                    },
+                    DeviceWork::Transfer { bytes },
+                ],
+            })
+        }
+    }
+
+    #[test]
+    fn without_updates_or_policy_dynamic_serving_is_plain_serving() {
+        use gnnadvisor_gpu::{FaultConfig, FaultPlan};
+        let chaotic = || {
+            Engine::builder(GpuSpec::quadro_p6000())
+                .fault_plan(std::sync::Arc::new(
+                    FaultPlan::new(FaultConfig::uniform(0.25, 17)).expect("valid"),
+                ))
+                .build()
+                .expect("valid")
+        };
+        let trace = arrivals(64, 0.4, 17);
+        let clean = config(None).serving;
+        let mut faulted = clean.clone();
+        faulted.retry = RetryPolicy {
+            max_attempts: 3,
+            backoff_base_ms: 0.25,
+            seed: 17,
+            ..RetryPolicy::default()
+        };
+        faulted.deadline_ms = Some(1.5);
+        for (serving, make_engine) in [
+            (clean, (|| engine(1)) as fn() -> Engine),
+            (faulted, chaotic),
+        ] {
+            let plain =
+                crate::serving::simulate(&make_engine(), &trace, &serving, &mut GemmExecutor)
+                    .expect("runs");
+            let cfg = DynamicConfig {
+                serving,
+                policy: None,
+                compact_every: 0,
+            };
+            let dynamic = simulate_dynamic(
+                &[make_engine()],
+                renumbered_base(5),
+                &[],
+                &trace,
+                &cfg,
+                &mut GraphBlind(GemmExecutor),
+            )
+            .expect("runs");
+            assert_eq!(dynamic.serving, plain);
+            if cfg.serving.retry.max_attempts > 1 {
+                assert!(plain.retries > 0 && plain.failed + plain.deadline_missed > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_spec_replicas_are_rejected() {
+        // Every replica's schedule is read on one clock.
+        let base = renumbered_base(6);
+        let trace = arrivals(8, 0.5, 2);
+        let fleet = [engine(1), Engine::new(GpuSpec::tesla_v100())];
+        let err = simulate_dynamic(
+            &fleet,
+            base,
+            &[],
+            &trace,
+            &config(None),
+            &mut SpmmExecutor::new(16),
+        );
+        assert!(matches!(err, Err(CoreError::Serving { .. })));
     }
 
     #[test]

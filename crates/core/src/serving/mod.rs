@@ -36,6 +36,7 @@
 
 pub mod arrivals;
 pub mod batcher;
+pub(crate) mod exec;
 pub mod queue;
 pub mod retry;
 
@@ -46,10 +47,10 @@ pub use batcher::{plan_batches, BatchPlan, BatchPolicy, DispatchedBatch, QueuePo
 pub use queue::BoundedQueue;
 pub use retry::RetryPolicy;
 
-use gnnadvisor_gpu::stream::OpHandle;
-use gnnadvisor_gpu::{Engine, Kernel, StreamSim, Workload};
+use gnnadvisor_gpu::{Engine, Kernel, Workload};
 
-use crate::{CoreError, Result};
+use crate::Result;
+use exec::SlotServer;
 
 /// One unit of device work an executor plans for a batch.
 pub enum DeviceWork {
@@ -84,6 +85,21 @@ impl core::fmt::Debug for DeviceWork {
             DeviceWork::Transfer { bytes } => {
                 f.debug_struct("Transfer").field("bytes", bytes).finish()
             }
+        }
+    }
+}
+
+impl DeviceWork {
+    /// The engine workload this op submits.
+    pub fn workload(&self) -> Workload<'_> {
+        match self {
+            DeviceWork::Kernel(k) => Workload::Kernel(&**k),
+            DeviceWork::Gemm { m, n, k } => Workload::Gemm {
+                m: *m,
+                n: *n,
+                k: *k,
+            },
+            DeviceWork::Transfer { bytes } => Workload::Transfer { bytes: *bytes },
         }
     }
 }
@@ -219,23 +235,13 @@ impl ServingReport {
 /// Nearest-rank percentile of an ascending-sorted sample: the value at
 /// rank `ceil(p/100 · n)` (1-based), so p50 of `[1, 9]` is `1` (rank 1)
 /// and every percentile of a singleton is that sample. Shared with the
-/// cluster layer's per-tenant statistics.
+/// cluster autoscaler's p99 signal.
 pub(crate) fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     if sorted_ms.is_empty() {
         return 0.0;
     }
     let rank = ((p / 100.0) * sorted_ms.len() as f64).ceil() as usize;
     sorted_ms[rank.clamp(1, sorted_ms.len()) - 1]
-}
-
-/// How one batch's retry chain ended.
-enum BatchOutcome {
-    /// Some attempt ran fault-free; its last op (if any) is the batch's
-    /// completion point. `None` means the batch planned no device ops and
-    /// completes at its dispatch instant.
-    Done(Option<OpHandle>),
-    /// Every attempt faulted; the batch's requests failed.
-    Exhausted,
 }
 
 /// Runs the full serving pipeline on the simulated device: plans batches
@@ -255,141 +261,20 @@ pub fn simulate(
     cfg: &ServingConfig,
     exec: &mut dyn BatchExecutor,
 ) -> Result<ServingReport> {
-    if cfg.streams == 0 {
-        return Err(CoreError::Serving {
-            reason: "streams must be at least 1".into(),
-        });
-    }
-    cfg.retry.validate()?;
-    if let Some(d) = cfg.deadline_ms {
-        if !(d.is_finite() && d > 0.0) {
-            return Err(CoreError::Serving {
-                reason: format!("deadline_ms must be positive and finite, got {d}"),
-            });
-        }
-    }
+    cfg.validate()?;
     let plan = plan_batches(arrivals, &cfg.queue, &cfg.batch)?;
-    let spec = engine.spec();
-
-    let mut sim = StreamSim::new(engine);
-    let streams: Vec<_> = (0..cfg.streams).map(|_| sim.stream()).collect();
-    let mut outcomes: Vec<BatchOutcome> = Vec::with_capacity(plan.batches.len());
-    let mut retries = 0u64;
+    let mut server = SlotServer::new(std::slice::from_ref(engine), cfg.streams)?;
     for (i, batch) in plan.batches.iter().enumerate() {
-        let stream = streams[i % streams.len()];
         let work = exec.plan(batch)?;
-        let mut release_ms = batch.dispatch_ms;
-        let mut outcome = BatchOutcome::Exhausted;
-        for attempt in 1..=cfg.retry.max_attempts {
-            let release = spec.ms_to_cycles(release_ms);
-            let mut tail = None;
-            let mut attempt_cycles = 0u64;
-            let mut faulted = false;
-            for op in &work.ops {
-                let workload = match op {
-                    DeviceWork::Kernel(k) => Workload::Kernel(&**k),
-                    DeviceWork::Gemm { m, n, k } => Workload::Gemm {
-                        m: *m,
-                        n: *n,
-                        k: *k,
-                    },
-                    DeviceWork::Transfer { bytes } => Workload::Transfer { bytes: *bytes },
-                };
-                let enq = sim.try_enqueue_at(stream, workload, release)?;
-                attempt_cycles += spec.ms_to_cycles(enq.metrics.time_ms());
-                if enq.fault.is_some() {
-                    // The faulted op still burns its time on the stream;
-                    // the attempt's remaining ops are never issued.
-                    faulted = true;
-                    break;
-                }
-                tail = Some(enq.handle);
-            }
-            if !faulted {
-                outcome = BatchOutcome::Done(tail);
-                break;
-            }
-            if attempt == cfg.retry.max_attempts {
-                break;
-            }
-            retries += 1;
-            release_ms =
-                spec.cycles_to_ms(release + attempt_cycles) + cfg.retry.backoff_ms(i, attempt);
-        }
-        outcomes.push(outcome);
+        server.submit(i, &work, batch.dispatch_ms, &cfg.retry)?;
     }
-    let report = sim.run()?;
-
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut failed = 0usize;
-    let mut deadline_missed = 0usize;
-    // Schedule span for rate accounting: the last device op OR the last
-    // batch completion instant — a batch of zero device ops completes at
-    // its dispatch instant without extending the op makespan.
-    let mut span_ms = report.makespan_ms;
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        let batch = &plan.batches[i];
-        match outcome {
-            BatchOutcome::Exhausted => failed += batch.requests.len(),
-            BatchOutcome::Done(tail) => {
-                let end_cycles = match tail {
-                    Some(handle) => report.op_end(handle).expect("committed op has a span"),
-                    None => spec.ms_to_cycles(batch.dispatch_ms),
-                };
-                let end_ms = spec.cycles_to_ms(end_cycles);
-                span_ms = span_ms.max(end_ms);
-                for request in &batch.requests {
-                    let latency = (end_ms - request.arrival_ms).max(0.0);
-                    match cfg.deadline_ms {
-                        Some(d) if latency > d => deadline_missed += 1,
-                        _ => latencies.push(latency),
-                    }
-                }
-            }
-        }
-    }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-
-    let completed = latencies.len();
-    let mean_ms = if completed == 0 {
-        0.0
-    } else {
-        latencies.iter().sum::<f64>() / completed as f64
-    };
-    let served = completed + deadline_missed;
-    let throughput_rps = if span_ms > 0.0 {
-        served as f64 * 1000.0 / span_ms
-    } else {
-        0.0
-    };
-    let goodput_rps = if span_ms > 0.0 {
-        completed as f64 * 1000.0 / span_ms
-    } else {
-        0.0
-    };
-    Ok(ServingReport {
-        completed,
-        shed: plan.shed,
-        failed,
-        deadline_missed,
-        retries,
-        batches: plan.batches.len(),
-        p50_ms: percentile(&latencies, 50.0),
-        p95_ms: percentile(&latencies, 95.0),
-        p99_ms: percentile(&latencies, 99.0),
-        mean_ms,
-        throughput_rps,
-        goodput_rps,
-        makespan_ms: report.makespan_ms,
-        kernel_busy_cycles: report.kernel_busy_cycles,
-        copy_busy_cycles: report.copy_busy_cycles,
-        mean_kernel_occupancy: report.mean_kernel_occupancy(),
-    })
+    server.finish(&plan, cfg.deadline_ms)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoreError;
     use gnnadvisor_gpu::GpuSpec;
 
     /// A model-free executor: per batch, an h2d copy, one GEMM whose rows

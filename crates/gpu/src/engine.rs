@@ -45,11 +45,8 @@
 //! typed entry point: [`Engine::submit`] takes a [`Workload`] — a kernel
 //! launch, a roofline-priced GEMM, or a host↔device transfer — and returns
 //! [`WorkloadMetrics`]. This uniform surface is what
-//! [`crate::stream::StreamSim`] enqueues onto simulated streams. The
-//! pre-existing `run`/`run_in`/`run_gemm`/`run_transfer` entry points are
-//! deprecated one-line wrappers over `submit` (each doc states its exact
-//! `submit` equivalent), and the old `with_tracer`/`with_sim_threads`
-//! setters are gone — [`Engine::builder`] is the configuration surface.
+//! [`crate::stream::StreamSim`] enqueues onto simulated streams.
+//! [`Engine::builder`] is the configuration surface.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -538,22 +535,6 @@ impl Engine {
         }
     }
 
-    /// Launches a kernel against the engine's own (shared) context.
-    /// Exactly `submit(&mut self.lock_context(), Workload::Kernel(kernel))`.
-    #[deprecated(since = "0.4.0", note = "use Engine::submit with Workload::Kernel")]
-    pub fn run(&self, kernel: &dyn Kernel) -> Result<KernelMetrics> {
-        self.submit(&mut self.lock_context(), Workload::Kernel(kernel))
-            .map(WorkloadMetrics::into_kernel)
-    }
-
-    /// Launches a kernel against an explicit context. Exactly
-    /// `submit(ctx, Workload::Kernel(kernel))`.
-    #[deprecated(since = "0.4.0", note = "use Engine::submit with Workload::Kernel")]
-    pub fn run_in(&self, ctx: &mut RunContext, kernel: &dyn Kernel) -> Result<KernelMetrics> {
-        self.submit(ctx, Workload::Kernel(kernel))
-            .map(WorkloadMetrics::into_kernel)
-    }
-
     /// Simulates one kernel launch. The context is fully re-prepared
     /// first, so any context yields identical results; passing the same
     /// one across launches just recycles its allocations. `slow_factor`
@@ -847,21 +828,6 @@ impl Engine {
         configured.min(num_shards)
     }
 
-    /// Prices a dense `m x k · k x n` GEMM (the update-phase DGEMM/MLP).
-    /// Exactly `submit(&mut self.lock_context(), Workload::Gemm { m, n, k })`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an attached [`EngineBuilder::fault_plan`] kills the
-    /// submission — the legacy signature has no error channel. Use
-    /// [`Engine::submit`] under fault injection.
-    #[deprecated(since = "0.4.0", note = "use Engine::submit with Workload::Gemm")]
-    pub fn run_gemm(&self, m: usize, n: usize, k: usize) -> KernelMetrics {
-        self.submit(&mut self.lock_context(), Workload::Gemm { m, n, k })
-            .expect("GEMM pricing only fails under an injected fault plan")
-            .into_kernel()
-    }
-
     /// Prices a dense `m x k · k x n` GEMM (the update-phase DGEMM/MLP) with
     /// a cuBLAS-like roofline: compute at `gemm_efficiency` of peak FLOPs,
     /// memory as one pass over the three operand matrices. `slow_factor`
@@ -921,21 +887,6 @@ impl Engine {
             }
         }
         metrics
-    }
-
-    /// Prices a host→device or device→host copy. Exactly
-    /// `submit(&mut self.lock_context(), Workload::Transfer { bytes })`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an attached [`EngineBuilder::fault_plan`] kills the
-    /// submission — the legacy signature has no error channel. Use
-    /// [`Engine::submit`] under fault injection.
-    #[deprecated(since = "0.4.0", note = "use Engine::submit with Workload::Transfer")]
-    pub fn run_transfer(&self, bytes: u64) -> TransferMetrics {
-        self.submit(&mut self.lock_context(), Workload::Transfer { bytes })
-            .expect("transfer pricing only fails under an injected fault plan")
-            .into_transfer()
     }
 
     /// Prices a host→device or device→host copy over the PCIe model.

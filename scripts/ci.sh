@@ -8,9 +8,8 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace -- -D warnings -D deprecated"
-# -D deprecated: the Engine compatibility shims (run/run_in/run_gemm/
-# run_transfer) may only be called from their dedicated compat test, so
-# a deprecation warning anywhere else in the workspace fails the build.
+# -D deprecated: no code in the workspace may call a #[deprecated] item,
+# so a new deprecation must migrate every caller in the same change.
 cargo clippy --offline --workspace --all-targets -- -D warnings -D deprecated
 
 echo "==> cargo build --examples"

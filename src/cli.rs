@@ -616,6 +616,76 @@ impl CliOptions {
         }
     }
 
+    /// The stream, queue, batch, retry and deadline options every
+    /// `serve-*` command shares.
+    fn serving_config(&self) -> ServingConfig {
+        ServingConfig {
+            streams: self.streams,
+            queue: QueuePolicy {
+                capacity: self.queue_cap,
+            },
+            batch: BatchPolicy {
+                max_batch: self.batch_size,
+                max_delay_ms: self.max_delay_ms,
+            },
+            retry: RetryPolicy {
+                max_attempts: self.retries + 1,
+                seed: self.seed,
+                ..RetryPolicy::default()
+            },
+            deadline_ms: self.deadline_ms,
+        }
+    }
+
+    /// One engine per replica. With `--fault-rate` (or a `reset` naming
+    /// the replica) each gets a fault plan seeded `--seed + replica`:
+    /// replicas fault independently, yet the whole run replays from one
+    /// seed.
+    fn replica_engines(
+        &self,
+        replicas: usize,
+        reset: Option<(usize, f64)>,
+    ) -> Result<Vec<Engine>, String> {
+        (0..replicas)
+            .map(|r| {
+                let mut builder = Engine::builder(self.spec()?);
+                let reset_ms = reset.and_then(|(rr, ms)| (rr == r).then_some(ms));
+                if self.fault_rate > 0.0 || reset_ms.is_some() {
+                    let mut fc =
+                        FaultConfig::uniform(self.fault_rate, self.seed.wrapping_add(r as u64));
+                    fc.device_reset_ms = reset_ms;
+                    let plan = FaultPlan::new(fc).map_err(|e| e.to_string())?;
+                    builder = builder.fault_plan(Arc::new(plan));
+                }
+                builder.build().map_err(|e| e.to_string())
+            })
+            .collect()
+    }
+
+    /// A GCN executor over a batched Type II dataset (Section 8.1.2):
+    /// many small independent graphs, the workload class served with
+    /// mini-batched inference.
+    fn batch_executor(&self) -> Result<GcnBatchExecutor, String> {
+        let nodes = ((40_000.0 * self.scale) as usize).clamp(400, 40_000);
+        let (graph, components) = batched_graph(
+            &BatchedParams {
+                num_nodes: nodes,
+                num_edges: nodes * 4,
+                mean_graph_size: 40,
+                graph_size_cv: 0.4,
+            },
+            31,
+        )
+        .map_err(|e| e.to_string())?;
+        Ok(GcnBatchExecutor::new(
+            &graph,
+            &components,
+            self.feat_dim,
+            16,
+            self.num_classes,
+        ))
+    }
+
     fn load(&self) -> Result<Dataset, String> {
         if let Some(path) = &self.edge_list {
             let graph = load_edge_list(path, &LoadOptions::default()).map_err(|e| e.to_string())?;
@@ -1038,21 +1108,7 @@ fn speed_check(
 /// Everything downstream of the seed is deterministic: the report is
 /// byte-identical across runs and across `GNNADVISOR_SIM_THREADS`.
 pub fn serve_sim(opts: &CliOptions) -> CliResult {
-    let spec = opts.spec()?;
-    // A batched Type II dataset (Section 8.1.2): many small independent
-    // graphs, the workload class served with mini-batched inference.
-    let nodes = ((40_000.0 * opts.scale) as usize).clamp(400, 40_000);
-    let (graph, components) = batched_graph(
-        &BatchedParams {
-            num_nodes: nodes,
-            num_edges: nodes * 4,
-            mean_graph_size: 40,
-            graph_size_cv: 0.4,
-        },
-        31,
-    )
-    .map_err(|e| e.to_string())?;
-    let mut exec = GcnBatchExecutor::new(&graph, &components, opts.feat_dim, 16, opts.num_classes);
+    let mut exec = opts.batch_executor()?;
     let arrivals = generate_arrivals(&ArrivalConfig {
         num_requests: opts.requests,
         mean_interarrival_ms: 1000.0 / opts.rate,
@@ -1060,32 +1116,9 @@ pub fn serve_sim(opts: &CliOptions) -> CliResult {
         seed: opts.seed,
     })
     .map_err(|e| e.to_string())?;
-    let serving = ServingConfig {
-        streams: opts.streams,
-        queue: QueuePolicy {
-            capacity: opts.queue_cap,
-        },
-        batch: BatchPolicy {
-            max_batch: opts.batch_size,
-            max_delay_ms: opts.max_delay_ms,
-        },
-        retry: RetryPolicy {
-            max_attempts: opts.retries + 1,
-            seed: opts.seed,
-            ..RetryPolicy::default()
-        },
-        deadline_ms: opts.deadline_ms,
-    };
-    let mut builder = Engine::builder(spec);
-    if opts.fault_rate > 0.0 {
-        // Faults are seeded alongside the arrival trace: the whole chaos
-        // run replays bit-for-bit from one --seed.
-        let plan = FaultPlan::new(FaultConfig::uniform(opts.fault_rate, opts.seed))
-            .map_err(|e| e.to_string())?;
-        builder = builder.fault_plan(Arc::new(plan));
-    }
-    let engine = builder.build().map_err(|e| e.to_string())?;
-    let report = simulate(&engine, &arrivals, &serving, &mut exec).map_err(|e| e.to_string())?;
+    let engine = opts.replica_engines(1, None)?.remove(0);
+    let report = simulate(&engine, &arrivals, &opts.serving_config(), &mut exec)
+        .map_err(|e| e.to_string())?;
     let deadline = opts
         .deadline_ms
         .map_or("none".to_string(), |d| format!("{d} ms"));
@@ -1183,20 +1216,7 @@ fn parse_reset(s: &str) -> Result<(usize, f64), String> {
 /// downstream of the seed replays bit-for-bit, so the report is
 /// byte-identical across runs and `GNNADVISOR_SIM_THREADS`.
 pub fn serve_cluster(opts: &CliOptions) -> CliResult {
-    // Same batched Type II dataset as serve-sim: the cluster serves the
-    // mini-batched inference workload class.
-    let nodes = ((40_000.0 * opts.scale) as usize).clamp(400, 40_000);
-    let (graph, components) = batched_graph(
-        &BatchedParams {
-            num_nodes: nodes,
-            num_edges: nodes * 4,
-            mean_graph_size: 40,
-            graph_size_cv: 0.4,
-        },
-        31,
-    )
-    .map_err(|e| e.to_string())?;
-    let mut exec = GcnBatchExecutor::new(&graph, &components, opts.feat_dim, 16, opts.num_classes);
+    let mut exec = opts.batch_executor()?;
 
     let mean = 1000.0 / opts.rate;
     let arrivals = match opts.arrivals.as_str() {
@@ -1253,36 +1273,14 @@ pub fn serve_cluster(opts: &CliOptions) -> CliResult {
         }
     }
 
-    let mut engines = Vec::with_capacity(slots);
-    for r in 0..slots {
-        let mut builder = Engine::builder(opts.spec()?);
-        let reset_ms = reset.and_then(|(rr, ms)| (rr == r).then_some(ms));
-        if opts.fault_rate > 0.0 || reset_ms.is_some() {
-            // Per-replica fault seeds: replicas fault independently, but
-            // the whole fleet's chaos replays from one --seed.
-            let mut fc = FaultConfig::uniform(opts.fault_rate, opts.seed.wrapping_add(r as u64));
-            fc.device_reset_ms = reset_ms;
-            let plan = FaultPlan::new(fc).map_err(|e| e.to_string())?;
-            builder = builder.fault_plan(Arc::new(plan));
-        }
-        engines.push(builder.build().map_err(|e| e.to_string())?);
-    }
-
+    let engines = opts.replica_engines(slots, reset)?;
+    let serving = opts.serving_config();
     let cfg = ClusterConfig {
         replicas: opts.replicas,
-        streams: opts.streams,
-        queue: QueuePolicy {
-            capacity: opts.queue_cap,
-        },
-        batch: BatchPolicy {
-            max_batch: opts.batch_size,
-            max_delay_ms: opts.max_delay_ms,
-        },
-        retry: RetryPolicy {
-            max_attempts: opts.retries + 1,
-            seed: opts.seed,
-            ..RetryPolicy::default()
-        },
+        streams: serving.streams,
+        queue: serving.queue,
+        batch: serving.batch,
+        retry: serving.retry,
         router: RouterPolicy::parse(&opts.router).expect("validated at parse"),
         autoscaler,
     };
@@ -1384,39 +1382,11 @@ pub fn serve_dynamic(opts: &CliOptions) -> CliResult {
         rebuild_cost_us_per_edge: opts.rebuild_cost_us,
     });
     let cfg = DynamicConfig {
-        serving: ServingConfig {
-            streams: opts.streams,
-            queue: QueuePolicy {
-                capacity: opts.queue_cap,
-            },
-            batch: BatchPolicy {
-                max_batch: opts.batch_size,
-                max_delay_ms: opts.max_delay_ms,
-            },
-            retry: RetryPolicy {
-                max_attempts: opts.retries + 1,
-                seed: opts.seed,
-                ..RetryPolicy::default()
-            },
-            deadline_ms: opts.deadline_ms,
-        },
+        serving: opts.serving_config(),
         policy,
         compact_every: opts.compact_every,
     };
-
-    let mut engines = Vec::with_capacity(opts.replicas);
-    for replica in 0..opts.replicas {
-        let mut builder = Engine::builder(opts.spec()?);
-        if opts.fault_rate > 0.0 {
-            let plan = FaultPlan::new(FaultConfig::uniform(
-                opts.fault_rate,
-                opts.seed.wrapping_add(replica as u64),
-            ))
-            .map_err(|e| e.to_string())?;
-            builder = builder.fault_plan(Arc::new(plan));
-        }
-        engines.push(builder.build().map_err(|e| e.to_string())?);
-    }
+    let engines = opts.replica_engines(opts.replicas, None)?;
 
     // Hidden dim 32 keeps the advisor aggregation in the SM-time-limited
     // regime where layout locality is what the clock measures.
