@@ -486,7 +486,7 @@ pub fn simulate_dynamic(
     }
 
     let plan = plan_batches(arrivals, &cfg.serving.queue, &cfg.serving.batch)?;
-    let mut server = SlotServer::new(engines, cfg.serving.streams)?;
+    let mut server = SlotServer::new(engines, cfg.serving.streams, plan.batches.len())?;
 
     let mut live = LiveGraph::new(base);
     let mut update_idx = 0usize;

@@ -124,7 +124,9 @@ pub(crate) struct SlotServer<'e> {
 }
 
 impl<'e> SlotServer<'e> {
-    pub fn new(engines: &'e [Engine], streams: usize) -> Result<Self> {
+    /// Slots for `streams` streams on each engine, with outcome room for
+    /// `batches` submissions.
+    pub fn new(engines: &'e [Engine], streams: usize, batches: usize) -> Result<Self> {
         let clock = shared_clock(engines)?;
         let mut sims: Vec<StreamSim<'e>> = engines.iter().map(StreamSim::new).collect();
         let mut slots = Vec::new();
@@ -135,7 +137,7 @@ impl<'e> SlotServer<'e> {
             clock,
             sims,
             slots,
-            outcomes: Vec::new(),
+            outcomes: Vec::with_capacity(batches),
             retries: 0,
         })
     }

@@ -263,7 +263,11 @@ pub fn simulate(
 ) -> Result<ServingReport> {
     cfg.validate()?;
     let plan = plan_batches(arrivals, &cfg.queue, &cfg.batch)?;
-    let mut server = SlotServer::new(std::slice::from_ref(engine), cfg.streams)?;
+    let mut server = SlotServer::new(
+        std::slice::from_ref(engine),
+        cfg.streams,
+        plan.batches.len(),
+    )?;
     for (i, batch) in plan.batches.iter().enumerate() {
         let work = exec.plan(batch)?;
         server.submit(i, &work, batch.dispatch_ms, &cfg.retry)?;

@@ -17,13 +17,18 @@ pub struct Retirement {
     pub blocks: u64,
 }
 
+/// A pending retirement as `(at, push seq, launch, sm, blocks)`: the
+/// unique `(at, seq)` prefix decides the order.
+type Pending = (u64, u64, usize, usize, u64);
+
 /// Min-heap of pending retirements ordered by instant; equal instants pop
 /// in push order (a sequence number breaks ties), so draining is fully
-/// deterministic.
+/// deterministic. Each heap entry carries its retirement, so the queue
+/// holds only what is still pending.
 #[derive(Debug, Default)]
 pub struct RetirementQueue {
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
-    entries: Vec<Retirement>,
+    heap: BinaryHeap<Reverse<Pending>>,
+    pushed: u64,
 }
 
 impl RetirementQueue {
@@ -34,28 +39,36 @@ impl RetirementQueue {
 
     /// Schedules a retirement.
     pub fn push(&mut self, r: Retirement) {
-        let seq = self.entries.len() as u64;
-        self.entries.push(r);
-        self.heap.push(Reverse((r.at, seq)));
+        self.heap
+            .push(Reverse((r.at, self.pushed, r.launch, r.sm, r.blocks)));
+        self.pushed += 1;
     }
 
     /// The earliest pending retirement instant, if any.
     pub fn next_at(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse((at, _))| *at)
+        self.heap.peek().map(|Reverse((at, ..))| *at)
+    }
+
+    /// Pops the first retirement due at or before `now` in (instant,
+    /// push) order, if any — [`RetirementQueue::pop_due`] one at a time,
+    /// without collecting.
+    pub fn pop_next_due(&mut self, now: u64) -> Option<Retirement> {
+        if self.next_at()? > now {
+            return None;
+        }
+        let Reverse((at, _, launch, sm, blocks)) = self.heap.pop()?;
+        Some(Retirement {
+            at,
+            launch,
+            sm,
+            blocks,
+        })
     }
 
     /// Pops every retirement due at or before `now`, in (instant, push)
     /// order.
     pub fn pop_due(&mut self, now: u64) -> Vec<Retirement> {
-        let mut due = Vec::new();
-        while let Some(&Reverse((at, seq))) = self.heap.peek() {
-            if at > now {
-                break;
-            }
-            self.heap.pop();
-            due.push(self.entries[seq as usize]);
-        }
-        due
+        std::iter::from_fn(|| self.pop_next_due(now)).collect()
     }
 
     /// Whether no retirements are pending.
@@ -96,5 +109,47 @@ mod tests {
         let due = q.pop_due(u64::MAX);
         assert_eq!(due.iter().map(|x| x.launch).collect::<Vec<_>>(), vec![0, 2]);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn interleaved_rounds_keep_instant_then_push_order_and_drain_empty() {
+        let mut q = RetirementQueue::new();
+        // Model: every pushed retirement not yet drained, in push order.
+        let mut pending: Vec<Retirement> = Vec::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let mut now = 0u64;
+        let mut launch = 0usize;
+        for _ in 0..500 {
+            for _ in 0..next(6) {
+                let r = Retirement {
+                    at: now + next(40),
+                    launch,
+                    sm: next(30) as usize,
+                    blocks: 1 + next(4),
+                };
+                launch += 1;
+                q.push(r);
+                pending.push(r);
+            }
+            now += next(25);
+            // The model's due list: stable sort keeps push order on ties.
+            let mut due: Vec<Retirement> =
+                pending.iter().copied().filter(|r| r.at <= now).collect();
+            due.sort_by_key(|r| r.at);
+            pending.retain(|r| r.at > now);
+            assert_eq!(q.pop_due(now), due);
+            assert_eq!(q.next_at(), pending.iter().map(|r| r.at).min());
+        }
+        let mut rest = pending;
+        rest.sort_by_key(|r| r.at);
+        assert_eq!(q.pop_due(u64::MAX), rest);
+        assert!(q.is_empty(), "nothing is held once every retirement is due");
+        assert_eq!(q.next_at(), None);
     }
 }

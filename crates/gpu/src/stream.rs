@@ -52,6 +52,7 @@ use crate::context::RunContext;
 use crate::device::{BlockDemand, CommandProcessor, Retirement, RetirementQueue};
 use crate::engine::{Engine, Workload, WorkloadMetrics, GEMM_BLOCK_RESOURCES};
 use crate::fault::FaultKind;
+use crate::spec::GpuSpec;
 use crate::trace::{ArgValue, SpanKind, TraceEvent, STREAM_TRACK_BASE};
 use crate::{GpuError, Result};
 
@@ -141,15 +142,16 @@ pub struct StreamReport {
     /// Peak device-wide resident warp slots at any instant; never exceeds
     /// `num_sms * max_warps_per_sm` (the admission invariant).
     pub peak_resident_warps: u64,
+    /// `ends[stream][index]`: each scheduled op's `end_cycles`, built by
+    /// [`StreamSim::run`] from `spans` for [`StreamReport::op_end`].
+    ends: Vec<Vec<u64>>,
 }
 
 impl StreamReport {
-    /// The completion cycle of one enqueued op.
+    /// The completion cycle of one enqueued op, in O(1); `None` for a
+    /// handle this schedule never held.
     pub fn op_end(&self, handle: OpHandle) -> Option<u64> {
-        self.spans
-            .iter()
-            .find(|s| s.stream == handle.stream && s.index == handle.index)
-            .map(|s| s.end_cycles)
+        self.ends.get(handle.stream.0)?.get(handle.index).copied()
     }
 
     /// Duration-weighted mean achieved occupancy over the kernel spans,
@@ -213,10 +215,10 @@ struct Op {
     fault: Option<FaultKind>,
 }
 
-/// A kernel the command processor is currently admitting or draining.
+/// A kernel the command processor is currently admitting or draining; its
+/// stream's id is its launch id.
 #[derive(Debug)]
 struct ActiveKernel {
-    stream: usize,
     index: usize,
     name: String,
     fault: Option<FaultKind>,
@@ -454,21 +456,74 @@ impl<'e> StreamSim<'e> {
     /// sits behind another blocked wait, or was never enqueued). The
     /// reported stream is the lowest blocked id.
     pub fn run(self) -> Result<StreamReport> {
+        let report = self.schedule()?;
+        if let Some(tracer) = self.engine.tracer() {
+            let events: Vec<TraceEvent> = report
+                .spans
+                .iter()
+                .filter(|span| span.class != OpClass::Event)
+                .map(|span| TraceEvent {
+                    kind: match span.class {
+                        OpClass::Copy => SpanKind::StreamCopy,
+                        _ => SpanKind::StreamKernel,
+                    },
+                    name: span.name.clone(),
+                    start_cycles: span.start_cycles,
+                    dur_cycles: span.end_cycles - span.start_cycles,
+                    track: STREAM_TRACK_BASE + span.stream.0 as u32,
+                    args: {
+                        let mut args = vec![
+                            ("stream", ArgValue::Int(span.stream.0 as u64)),
+                            ("cycles", ArgValue::Int(span.end_cycles - span.start_cycles)),
+                        ];
+                        if span.class == OpClass::Kernel {
+                            args.push((
+                                "occupancy",
+                                ArgValue::Text(format!("{:.4}", span.occupancy)),
+                            ));
+                        }
+                        if let Some(kind) = span.fault {
+                            args.push(("fault", ArgValue::Text(kind.label().into())));
+                        }
+                        args
+                    },
+                    counter: false,
+                })
+                .collect();
+            tracer.record_stream_schedule(events, report.makespan_cycles);
+        }
+        Ok(report)
+    }
+
+    /// The event loop of [`StreamSim::run`], without tracing.
+    ///
+    /// Cost: each op commits once and each admitted block group is pushed
+    /// and popped once (`O(log R)` for `R` pending retirements). A
+    /// fixpoint pass at an instant walks only the streams and the kernels
+    /// that still have unadmitted blocks — at most one in-flight kernel
+    /// per stream — so the loop is linear in the ops scheduled, and its
+    /// memory beyond the report is bounded by the streams and the pending
+    /// retirements, not by the ops already done.
+    fn schedule(&self) -> Result<StreamReport> {
         let spec = self.engine.spec();
         let num_streams = self.streams.len();
         let total_ops: usize = self.streams.iter().map(Vec::len).sum();
         let device_warp_slots = spec.num_sms as u64 * spec.max_warps_per_sm() as u64;
 
         let mut next_op = vec![0usize; num_streams];
-        /// Sentinel for "a kernel of this stream is still in flight".
-        const IN_FLIGHT: u64 = u64::MAX;
         let mut stream_ready = vec![0u64; num_streams];
         let mut event_time: Vec<Option<u64>> = vec![None; self.event_recorded.len()];
         let mut copy_free = 0u64;
         let mut cp = CommandProcessor::new(spec);
         let mut rq = RetirementQueue::new();
-        let mut active: Vec<ActiveKernel> = Vec::new();
-        let mut spans: Vec<OpSpan> = Vec::new();
+        // A stream has at most one kernel in flight (its head waits for
+        // the last retirement), so the in-flight kernel lives in its
+        // stream's slot and the stream id is its launch id. While the
+        // slot is full, the stream's retirements drive its progress.
+        let mut active: Vec<Option<ActiveKernel>> = (0..num_streams).map(|_| None).collect();
+        // Launch ids with unadmitted blocks, in activation order.
+        let mut waiting: Vec<usize> = Vec::with_capacity(num_streams);
+        let mut spans: Vec<OpSpan> = Vec::with_capacity(total_ops);
         let mut kernel_busy = 0u64;
         let mut copy_busy = 0u64;
         let mut resident_warps = 0u64;
@@ -483,13 +538,15 @@ impl<'e> StreamSim<'e> {
 
                 // (a) Retire due block groups; completed kernels close
                 // their span after the launch-overhead teardown.
-                for r in rq.pop_due(now) {
-                    let ak = &mut active[r.launch];
+                while let Some(r) = rq.pop_next_due(now) {
+                    let slot = &mut active[r.launch];
+                    let ak = slot.as_mut().expect("retiring launch is in flight");
                     cp.retire(r.sm, r.launch, &ak.shape.demand, r.blocks);
                     resident_warps -= r.blocks * ak.shape.warps_per_block as u64;
                     ak.to_retire -= r.blocks;
                     changed = true;
                     if ak.to_retire == 0 {
+                        let ak = slot.take().expect("checked above");
                         let start = ak.first_admit.expect("retired blocks were admitted");
                         let end = now + ak.shape.launch_cycles;
                         let window = now - start;
@@ -504,26 +561,27 @@ impl<'e> StreamSim<'e> {
                         };
                         kernel_busy += end - start;
                         spans.push(OpSpan {
-                            stream: StreamId(ak.stream),
+                            stream: StreamId(r.launch),
                             index: ak.index,
-                            name: std::mem::take(&mut ak.name),
+                            name: ak.name,
                             class: OpClass::Kernel,
                             start_cycles: start,
                             end_cycles: end,
                             occupancy,
                             fault: ak.fault,
                         });
-                        stream_ready[ak.stream] = end;
+                        stream_ready[r.launch] = end;
                     }
                 }
 
                 // (b) Admit waiting blocks in kernel activation order
                 // (FIFO — an earlier launch keeps first claim on freed
-                // slots; within a launch, admission is breadth-first).
-                for (id, ak) in active.iter_mut().enumerate() {
-                    if ak.to_admit == 0 {
-                        continue;
-                    }
+                // slots; within a launch, admission is breadth-first). A
+                // launch leaves `waiting` once its last block is admitted;
+                // admitted blocks never return, so this visits exactly
+                // the launches with unadmitted blocks, in order.
+                waiting.retain(|&id| {
+                    let ak = active[id].as_mut().expect("waiting launch is in flight");
                     let placed = cp.admit_up_to(id, &ak.shape.demand, ak.to_admit);
                     let mut admitted = 0u64;
                     for (sm, blocks) in placed {
@@ -542,12 +600,13 @@ impl<'e> StreamSim<'e> {
                         peak_resident_warps = peak_resident_warps.max(resident_warps);
                         changed = true;
                     }
-                }
+                    ak.to_admit > 0
+                });
 
                 // (c) Commit schedulable stream heads, ascending stream
                 // id: the deterministic tie-break.
                 for s in 0..num_streams {
-                    if stream_ready[s] == IN_FLIGHT {
+                    if active[s].is_some() {
                         continue;
                     }
                     let Some(op) = self.streams[s].get(next_op[s]) else {
@@ -590,8 +649,7 @@ impl<'e> StreamSim<'e> {
                         OpKind::Kernel(shape) => {
                             // Activation: the launch joins the admission
                             // queue; its span is closed at retirement.
-                            active.push(ActiveKernel {
-                                stream: s,
+                            active[s] = Some(ActiveKernel {
                                 index: next_op[s],
                                 name: op.name.clone(),
                                 fault: op.fault,
@@ -600,7 +658,7 @@ impl<'e> StreamSim<'e> {
                                 to_retire: shape.blocks,
                                 first_admit: None,
                             });
-                            stream_ready[s] = IN_FLIGHT;
+                            waiting.push(s);
                             next_op[s] += 1;
                             changed = true;
                             continue;
@@ -635,7 +693,7 @@ impl<'e> StreamSim<'e> {
             // ready, a recorded event, or the copy engine freeing.
             let mut next_time: Option<u64> = rq.next_at();
             for s in 0..num_streams {
-                if stream_ready[s] == IN_FLIGHT {
+                if active[s].is_some() {
                     continue; // its retirements drive progress
                 }
                 let Some(op) = self.streams[s].get(next_op[s]) else {
@@ -668,67 +726,357 @@ impl<'e> StreamSim<'e> {
         }
         debug_assert!(cp.is_idle(), "every admitted block must retire");
 
+        Ok(StreamReport::assemble(
+            spec,
+            &self.streams,
+            spans,
+            kernel_busy,
+            copy_busy,
+            cp.max_coresident_launches(),
+            peak_resident_warps,
+        ))
+    }
+}
+
+impl StreamReport {
+    /// Sorts `spans` into report order and indexes their end cycles per
+    /// `(stream, index)` of `streams`.
+    fn assemble(
+        spec: &GpuSpec,
+        streams: &[Vec<Op>],
+        mut spans: Vec<OpSpan>,
+        kernel_busy_cycles: u64,
+        copy_busy_cycles: u64,
+        max_coresident_kernels_per_sm: u32,
+        peak_resident_warps: u64,
+    ) -> Self {
         spans.sort_by(|a, b| {
             (a.start_cycles, a.stream.0, a.index).cmp(&(b.start_cycles, b.stream.0, b.index))
         });
         let makespan_cycles = spans.iter().map(|s| s.end_cycles).max().unwrap_or(0);
-        let report = StreamReport {
+        let mut ends: Vec<Vec<u64>> = streams.iter().map(|ops| vec![0; ops.len()]).collect();
+        for span in &spans {
+            ends[span.stream.0][span.index] = span.end_cycles;
+        }
+        StreamReport {
             makespan_cycles,
             makespan_ms: spec.cycles_to_ms(makespan_cycles),
-            kernel_busy_cycles: kernel_busy,
-            copy_busy_cycles: copy_busy,
-            max_coresident_kernels_per_sm: cp.max_coresident_launches(),
+            kernel_busy_cycles,
+            copy_busy_cycles,
+            max_coresident_kernels_per_sm,
             peak_resident_warps,
             spans,
-        };
-        if let Some(tracer) = self.engine.tracer() {
-            let events: Vec<TraceEvent> = report
-                .spans
-                .iter()
-                .filter(|span| span.class != OpClass::Event)
-                .map(|span| TraceEvent {
-                    kind: match span.class {
-                        OpClass::Copy => SpanKind::StreamCopy,
-                        _ => SpanKind::StreamKernel,
-                    },
-                    name: span.name.clone(),
-                    start_cycles: span.start_cycles,
-                    dur_cycles: span.end_cycles - span.start_cycles,
-                    track: STREAM_TRACK_BASE + span.stream.0 as u32,
-                    args: {
-                        let mut args = vec![
-                            ("stream", ArgValue::Int(span.stream.0 as u64)),
-                            ("cycles", ArgValue::Int(span.end_cycles - span.start_cycles)),
-                        ];
-                        if span.class == OpClass::Kernel {
-                            args.push((
-                                "occupancy",
-                                ArgValue::Text(format!("{:.4}", span.occupancy)),
-                            ));
-                        }
-                        if let Some(kind) = span.fault {
-                            args.push(("fault", ArgValue::Text(kind.label().into())));
-                        }
-                        args
-                    },
-                    counter: false,
-                })
-                .collect();
-            tracer.record_stream_schedule(events, makespan_cycles);
+            ends,
         }
-        Ok(report)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::GpuSpec;
+    use crate::kernel::{BlockSink, GridConfig, Kernel, WARP_SIZE};
+    use crate::spec::BlockResources;
     use crate::trace::TraceRecorder;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn engine() -> Engine {
         Engine::new(GpuSpec::quadro_p6000())
+    }
+
+    /// The scheduler as it stood before waiting-list admission, kept as
+    /// the differential oracle for [`StreamSim::schedule`]: admission
+    /// scans every kernel ever activated, the retirement queue keeps
+    /// every retirement ever pushed, and `op_end` searches the spans.
+    mod oracle {
+        use super::super::*;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        /// The retirement queue backed by an ever-growing entry list.
+        #[derive(Debug, Default)]
+        struct EntriesQueue {
+            heap: BinaryHeap<Reverse<(u64, u64)>>,
+            entries: Vec<Retirement>,
+        }
+
+        impl EntriesQueue {
+            fn new() -> Self {
+                Self::default()
+            }
+
+            fn push(&mut self, r: Retirement) {
+                let seq = self.entries.len() as u64;
+                self.entries.push(r);
+                self.heap.push(Reverse((r.at, seq)));
+            }
+
+            fn next_at(&self) -> Option<u64> {
+                self.heap.peek().map(|Reverse((at, _))| *at)
+            }
+
+            fn pop_due(&mut self, now: u64) -> Vec<Retirement> {
+                let mut due = Vec::new();
+                while let Some(&Reverse((at, seq))) = self.heap.peek() {
+                    if at > now {
+                        break;
+                    }
+                    self.heap.pop();
+                    due.push(self.entries[seq as usize]);
+                }
+                due
+            }
+        }
+
+        /// A kernel in the full activation list, launch id = list index.
+        #[derive(Debug)]
+        struct ActiveKernel {
+            stream: usize,
+            index: usize,
+            name: String,
+            fault: Option<FaultKind>,
+            shape: KernelShape,
+            to_admit: u64,
+            to_retire: u64,
+            first_admit: Option<u64>,
+        }
+
+        /// The completion cycle of `handle` by linear search.
+        pub(super) fn op_end(report: &StreamReport, handle: OpHandle) -> Option<u64> {
+            report
+                .spans
+                .iter()
+                .find(|s| s.stream == handle.stream && s.index == handle.index)
+                .map(|s| s.end_cycles)
+        }
+
+        /// Schedules `sim`'s ops with the full-scan loop.
+        pub(super) fn schedule(sim: &StreamSim<'_>) -> Result<StreamReport> {
+            let spec = sim.engine.spec();
+            let num_streams = sim.streams.len();
+            let total_ops: usize = sim.streams.iter().map(Vec::len).sum();
+            let device_warp_slots = spec.num_sms as u64 * spec.max_warps_per_sm() as u64;
+
+            let mut next_op = vec![0usize; num_streams];
+            /// Sentinel for "a kernel of this stream is still in flight".
+            const IN_FLIGHT: u64 = u64::MAX;
+            let mut stream_ready = vec![0u64; num_streams];
+            let mut event_time: Vec<Option<u64>> = vec![None; sim.event_recorded.len()];
+            let mut copy_free = 0u64;
+            let mut cp = CommandProcessor::new(spec);
+            let mut rq = EntriesQueue::new();
+            let mut active: Vec<ActiveKernel> = Vec::new();
+            let mut spans: Vec<OpSpan> = Vec::new();
+            let mut kernel_busy = 0u64;
+            let mut copy_busy = 0u64;
+            let mut resident_warps = 0u64;
+            let mut peak_resident_warps = 0u64;
+            let mut now = 0u64;
+
+            while spans.len() < total_ops {
+                // Fixpoint at `now`: retire, admit, and commit until nothing
+                // changes at this instant.
+                loop {
+                    let mut changed = false;
+
+                    // (a) Retire due block groups; completed kernels close
+                    // their span after the launch-overhead teardown.
+                    for r in rq.pop_due(now) {
+                        let ak = &mut active[r.launch];
+                        cp.retire(r.sm, r.launch, &ak.shape.demand, r.blocks);
+                        resident_warps -= r.blocks * ak.shape.warps_per_block as u64;
+                        ak.to_retire -= r.blocks;
+                        changed = true;
+                        if ak.to_retire == 0 {
+                            let start = ak.first_admit.expect("retired blocks were admitted");
+                            let end = now + ak.shape.launch_cycles;
+                            let window = now - start;
+                            let block_cycles_total = ak.shape.blocks
+                                * ak.shape.block_cycles
+                                * ak.shape.warps_per_block as u64;
+                            let occupancy = if window == 0 {
+                                0.0
+                            } else {
+                                (block_cycles_total as f64
+                                    / (window as f64 * device_warp_slots as f64))
+                                    .min(1.0)
+                            };
+                            kernel_busy += end - start;
+                            spans.push(OpSpan {
+                                stream: StreamId(ak.stream),
+                                index: ak.index,
+                                name: std::mem::take(&mut ak.name),
+                                class: OpClass::Kernel,
+                                start_cycles: start,
+                                end_cycles: end,
+                                occupancy,
+                                fault: ak.fault,
+                            });
+                            stream_ready[ak.stream] = end;
+                        }
+                    }
+
+                    // (b) Admit waiting blocks in kernel activation order
+                    // (FIFO — an earlier launch keeps first claim on freed
+                    // slots; within a launch, admission is breadth-first).
+                    for (id, ak) in active.iter_mut().enumerate() {
+                        if ak.to_admit == 0 {
+                            continue;
+                        }
+                        let placed = cp.admit_up_to(id, &ak.shape.demand, ak.to_admit);
+                        let mut admitted = 0u64;
+                        for (sm, blocks) in placed {
+                            admitted += blocks;
+                            rq.push(Retirement {
+                                at: now + ak.shape.block_cycles,
+                                launch: id,
+                                sm,
+                                blocks,
+                            });
+                        }
+                        if admitted > 0 {
+                            ak.to_admit -= admitted;
+                            ak.first_admit.get_or_insert(now);
+                            resident_warps += admitted * ak.shape.warps_per_block as u64;
+                            peak_resident_warps = peak_resident_warps.max(resident_warps);
+                            changed = true;
+                        }
+                    }
+
+                    // (c) Commit schedulable stream heads, ascending stream
+                    // id: the deterministic tie-break.
+                    for s in 0..num_streams {
+                        if stream_ready[s] == IN_FLIGHT {
+                            continue;
+                        }
+                        let Some(op) = sim.streams[s].get(next_op[s]) else {
+                            continue;
+                        };
+                        let dep = stream_ready[s].max(op.not_before);
+                        if dep > now {
+                            continue;
+                        }
+                        match op.kind {
+                            OpKind::Record { event } => {
+                                event_time[event] = Some(now);
+                            }
+                            OpKind::Wait { event } => {
+                                if event_time[event].is_none_or(|t| t > now) {
+                                    continue;
+                                }
+                            }
+                            OpKind::Copy { cycles } => {
+                                if copy_free > now {
+                                    continue;
+                                }
+                                copy_free = now + cycles;
+                                copy_busy += cycles;
+                                spans.push(OpSpan {
+                                    stream: StreamId(s),
+                                    index: next_op[s],
+                                    name: op.name.clone(),
+                                    class: OpClass::Copy,
+                                    start_cycles: now,
+                                    end_cycles: now + cycles,
+                                    occupancy: 0.0,
+                                    fault: op.fault,
+                                });
+                                stream_ready[s] = now + cycles;
+                                next_op[s] += 1;
+                                changed = true;
+                                continue;
+                            }
+                            OpKind::Kernel(shape) => {
+                                // Activation: the launch joins the admission
+                                // queue; its span is closed at retirement.
+                                active.push(ActiveKernel {
+                                    stream: s,
+                                    index: next_op[s],
+                                    name: op.name.clone(),
+                                    fault: op.fault,
+                                    shape,
+                                    to_admit: shape.blocks,
+                                    to_retire: shape.blocks,
+                                    first_admit: None,
+                                });
+                                stream_ready[s] = IN_FLIGHT;
+                                next_op[s] += 1;
+                                changed = true;
+                                continue;
+                            }
+                        }
+                        // Record / satisfied Wait: zero-duration event op.
+                        spans.push(OpSpan {
+                            stream: StreamId(s),
+                            index: next_op[s],
+                            name: op.name.clone(),
+                            class: OpClass::Event,
+                            start_cycles: now,
+                            end_cycles: now,
+                            occupancy: 0.0,
+                            fault: None,
+                        });
+                        stream_ready[s] = now;
+                        next_op[s] += 1;
+                        changed = true;
+                    }
+
+                    if !changed {
+                        break;
+                    }
+                }
+                if spans.len() >= total_ops {
+                    break;
+                }
+
+                // Advance the clock to the next instant anything can happen:
+                // a block retirement, a release time, a stream becoming
+                // ready, a recorded event, or the copy engine freeing.
+                let mut next_time: Option<u64> = rq.next_at();
+                for s in 0..num_streams {
+                    if stream_ready[s] == IN_FLIGHT {
+                        continue; // its retirements drive progress
+                    }
+                    let Some(op) = sim.streams[s].get(next_op[s]) else {
+                        continue;
+                    };
+                    let dep = stream_ready[s].max(op.not_before);
+                    let candidate = if dep > now {
+                        Some(dep)
+                    } else {
+                        match op.kind {
+                            OpKind::Wait { event } => event_time[event].filter(|&t| t > now),
+                            OpKind::Copy { .. } => (copy_free > now).then_some(copy_free),
+                            // A ready kernel or record would have committed
+                            // in the fixpoint above.
+                            OpKind::Kernel(_) | OpKind::Record { .. } => None,
+                        }
+                    };
+                    if let Some(t) = candidate {
+                        next_time = Some(next_time.map_or(t, |n| n.min(t)));
+                    }
+                }
+                let Some(t) = next_time else {
+                    let stream = (0..num_streams)
+                        .find(|&s| next_op[s] < sim.streams[s].len())
+                        .expect("ops remain, so some stream is blocked");
+                    return Err(GpuError::StreamDeadlock { stream });
+                };
+                debug_assert!(t > now, "the clock must advance");
+                now = t;
+            }
+            debug_assert!(cp.is_idle(), "every admitted block must retire");
+
+            Ok(StreamReport::assemble(
+                spec,
+                &sim.streams,
+                spans,
+                kernel_busy,
+                copy_busy,
+                cp.max_coresident_launches(),
+                peak_resident_warps,
+            ))
+        }
     }
 
     /// A GEMM sized to `blocks` thread blocks (the roofline model assigns
@@ -1201,5 +1549,184 @@ mod tests {
             json.contains("\"occupancy\""),
             "kernel stream spans carry their achieved occupancy"
         );
+    }
+
+    #[test]
+    fn op_end_is_none_for_handles_the_schedule_never_held() {
+        let e = engine();
+        let mut sim = StreamSim::new(&e);
+        let s = sim.stream();
+        let (h, _) = sim.enqueue(s, gemm_with_blocks(2)).unwrap();
+        let report = sim.run().unwrap();
+        assert!(report.op_end(h).is_some());
+        let past_index = OpHandle {
+            stream: s,
+            index: 1,
+        };
+        let past_stream = OpHandle {
+            stream: StreamId(1),
+            index: 0,
+        };
+        assert_eq!(report.op_end(past_index), None);
+        assert_eq!(report.op_end(past_stream), None);
+    }
+
+    /// A kernel of arbitrary block shape: one warp of compute per block.
+    struct Shaped {
+        blocks: usize,
+        resources: BlockResources,
+        cycles: u64,
+    }
+
+    impl Kernel for Shaped {
+        fn name(&self) -> &str {
+            "shaped"
+        }
+        fn grid(&self) -> GridConfig {
+            GridConfig {
+                num_blocks: self.blocks,
+                threads_per_block: self.resources.threads,
+                shared_mem_bytes: self.resources.smem_bytes,
+            }
+        }
+        fn block_resources(&self) -> BlockResources {
+            self.resources
+        }
+        fn emit_block(&self, _block: usize, sink: &mut BlockSink<'_>) {
+            sink.begin_warp();
+            sink.compute(self.cycles, WARP_SIZE);
+        }
+    }
+
+    /// `(threads, smem bytes, regs per thread)`: from shapes that stack
+    /// many blocks per SM to ones that fill a whole SM's register file
+    /// or half its shared memory, so some pairs never co-reside.
+    const SHAPES: [(u32, usize, u32); 6] = [
+        (128, 0, 32),
+        (256, 16 << 10, 32),
+        (1024, 0, 64),
+        (512, 40 << 10, 32),
+        (1024, 48 << 10, 32),
+        (96, 0, 255),
+    ];
+
+    #[derive(Debug, Clone)]
+    enum MixOp {
+        Kernel {
+            blocks: usize,
+            shape: usize,
+            cycles: u64,
+        },
+        Gemm {
+            blocks: usize,
+        },
+        Copy {
+            bytes: u64,
+        },
+        /// Records a new event.
+        Record,
+        /// Waits on an earlier-created event (by index, modulo the count).
+        Wait {
+            event: usize,
+        },
+        /// Waits on an event nothing records: a deadlock.
+        WaitNever,
+    }
+
+    /// Kernels most often, then GEMMs, copies and events; one op in
+    /// eighteen waits on an event nothing records.
+    fn mix_op() -> impl Strategy<Value = MixOp> {
+        (
+            0u8..18,
+            1usize..=150,
+            0..SHAPES.len(),
+            1u64..=3_000,
+            1u64..=(8 << 20),
+            0usize..64,
+        )
+            .prop_map(|(pick, blocks, shape, cycles, bytes, event)| match pick {
+                0..=5 => MixOp::Kernel {
+                    blocks,
+                    shape,
+                    cycles,
+                },
+                6..=9 => MixOp::Gemm { blocks },
+                10..=12 => MixOp::Copy { bytes },
+                13..=14 => MixOp::Record,
+                15..=16 => MixOp::Wait { event },
+                _ => MixOp::WaitNever,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The waiting-list scheduler commits exactly the schedule of the
+        /// full-scan oracle — every span, busy count and peak — and its
+        /// indexed `op_end` agrees with a search of the oracle's spans.
+        #[test]
+        fn scheduler_matches_the_full_scan_oracle(
+            num_streams in 1usize..=4,
+            ops in proptest::collection::vec(
+                (0usize..4, mix_op(), prop_oneof![Just(0u64), 0u64..=60_000]),
+                1..28,
+            ),
+            fault_rate in prop_oneof![Just(0.0), Just(0.3)],
+            seed in 0u64..u64::MAX,
+            v100 in 0u8..2,
+        ) {
+            use crate::fault::{FaultConfig, FaultPlan};
+            let spec = if v100 == 1 { GpuSpec::tesla_v100() } else { GpuSpec::quadro_p6000() };
+            let plan = FaultPlan::new(FaultConfig::uniform(fault_rate, seed)).unwrap();
+            let e = Engine::builder(spec).fault_plan(Arc::new(plan)).build().unwrap();
+            let mut sim = StreamSim::new(&e);
+            let streams: Vec<StreamId> = (0..num_streams).map(|_| sim.stream()).collect();
+            let mut events: Vec<EventId> = Vec::new();
+            let mut handles = Vec::new();
+            for (stream, op, release) in ops {
+                let s = streams[stream % num_streams];
+                let handle = match op {
+                    MixOp::Kernel { blocks, shape, cycles } => {
+                        let (threads, smem_bytes, regs_per_thread) = SHAPES[shape];
+                        let k = Shaped {
+                            blocks,
+                            resources: BlockResources { regs_per_thread, smem_bytes, threads },
+                            cycles,
+                        };
+                        sim.enqueue_at(s, Workload::Kernel(&k), release).unwrap().0
+                    }
+                    MixOp::Gemm { blocks } => {
+                        sim.enqueue_at(s, gemm_with_blocks(blocks), release).unwrap().0
+                    }
+                    MixOp::Copy { bytes } => {
+                        sim.enqueue_at(s, Workload::Transfer { bytes }, release).unwrap().0
+                    }
+                    MixOp::Record => {
+                        let ev = sim.event();
+                        events.push(ev);
+                        sim.record_event(s, ev).unwrap()
+                    }
+                    MixOp::Wait { event } if !events.is_empty() => {
+                        sim.wait_event(s, events[event % events.len()]).unwrap()
+                    }
+                    MixOp::Wait { .. } => continue,
+                    MixOp::WaitNever => {
+                        let ev = sim.event();
+                        sim.wait_event(s, ev).unwrap()
+                    }
+                };
+                handles.push(handle);
+            }
+            let expected = oracle::schedule(&sim);
+            let got = sim.schedule();
+            prop_assert_eq!(&got, &expected);
+            if let (Ok(got), Ok(expected)) = (got, expected) {
+                handles.push(OpHandle { stream: streams[0], index: usize::MAX });
+                handles.push(OpHandle { stream: StreamId(num_streams), index: 0 });
+                for h in handles {
+                    prop_assert_eq!(got.op_end(h), oracle::op_end(&expected, h));
+                }
+            }
+        }
     }
 }

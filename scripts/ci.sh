@@ -21,6 +21,9 @@ cargo test --offline --workspace -q
 echo "==> renumbering oracle: every Table 1 generator bit-identical to the reference"
 cargo test --offline --release -q --test table1_renumber_oracle -- --ignored
 
+echo "==> stream scheduler scaling: 4x the ops in at most 8x the time"
+cargo test --offline --release -q -p gnnadvisor-gpu --test stream_scaling -- --ignored
+
 echo "==> profile smoke: trace bytes stable across runs and worker counts"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
