@@ -38,10 +38,10 @@ pub use tenant::{
 };
 
 use gnnadvisor_gpu::fault::FaultKind;
-use gnnadvisor_gpu::{Engine, StreamSim};
+use gnnadvisor_gpu::Engine;
 
 use crate::serving::exec::{
-    enqueue_attempt, rate, run_schedules, shared_clock, validate_shape, Outcome, Tally,
+    rate, shared_clock, validate_shape, Attempt, Outcome, PlaceAttempt, SlotServer,
 };
 use crate::serving::percentile;
 use crate::serving::{BatchExecutor, BatchPolicy, QueuePolicy, Request, RetryPolicy};
@@ -240,6 +240,49 @@ fn validate(engines: &[Engine], cfg: &ClusterConfig) -> Result<usize> {
     Ok(slots)
 }
 
+/// The cluster's placement rule: each attempt goes where the router
+/// sends it among the active replicas, a retry avoiding the replica that
+/// just faulted (unless it is the only active one), and a device reset
+/// kills its replica for the rest of the run.
+struct Routed {
+    router: Router,
+    /// Active replica slots, ascending.
+    active: Vec<usize>,
+    dead: Vec<bool>,
+    /// Attempts placed on each replica slot.
+    submissions: Vec<usize>,
+    /// The router's estimated end cycle of the last placed attempt.
+    est_end: u64,
+}
+
+impl PlaceAttempt for Routed {
+    fn place(&mut self, _: usize, release_cycles: u64, faulted: Option<usize>) -> (usize, usize) {
+        let avail: Vec<usize> = match faulted {
+            Some(x) if self.active.len() > 1 => {
+                self.active.iter().copied().filter(|&r| r != x).collect()
+            }
+            _ => self.active.clone(),
+        };
+        let p = self.router.route(&avail, release_cycles);
+        self.submissions[p.replica] += 1;
+        (p.replica, p.stream)
+    }
+
+    fn record(&mut self, (replica, stream): (usize, usize), release_cycles: u64, a: &Attempt) {
+        let placement = Placement { replica, stream };
+        self.est_end = self.router.commit(placement, release_cycles, a.cycles);
+        if a.fault == Some(FaultKind::DeviceReset) && !self.dead[replica] {
+            // The replica is gone for the rest of the run — unless it is
+            // the last one standing, where a degraded replica beats an
+            // empty cluster.
+            self.dead[replica] = true;
+            if self.active.len() > 1 {
+                self.active.retain(|&r| r != replica);
+            }
+        }
+    }
+}
+
 /// Runs the full cluster pipeline: weighted-fair tenant batching, routed
 /// placement across the replica fleet, optional autoscaling, retry with
 /// failover, and per-tenant SLO accounting.
@@ -264,24 +307,20 @@ pub fn simulate_cluster(
     let clock = shared_clock(engines)?;
     let plan = plan_cluster_batches(arrivals, tenant_of, tenants, &cfg.queue, &cfg.batch)?;
 
-    let mut sims: Vec<StreamSim> = engines.iter().map(StreamSim::new).collect();
-    let streams: Vec<Vec<_>> = sims
-        .iter_mut()
-        .map(|sim| (0..cfg.streams).map(|_| sim.stream()).collect())
-        .collect();
-    let mut router = Router::new(cfg.router, slots, cfg.streams);
+    let mut server = SlotServer::new(engines, cfg.streams, plan.batches.len())?;
+    let mut routed = Routed {
+        router: Router::new(cfg.router, slots, cfg.streams),
+        active: (0..cfg.replicas.min(slots)).collect(),
+        dead: vec![false; slots],
+        submissions: vec![0; slots],
+        est_end: 0,
+    };
     let mut scaler = match &cfg.autoscaler {
         Some(a) => Some(Autoscaler::new(a.clone(), cfg.replicas)?),
         None => None,
     };
-
-    let mut active: Vec<usize> = (0..cfg.replicas.min(slots)).collect();
-    let mut dead: Vec<bool> = vec![false; slots];
-    let mut peak_active = active.len();
-    let mut per_replica_batches = vec![0usize; slots];
+    let mut peak_active = routed.active.len();
     let mut est_latencies: Vec<f64> = Vec::new(); // kept sorted
-    let mut outcomes: Vec<Outcome> = Vec::with_capacity(plan.batches.len());
-    let mut retries = 0u64;
 
     for (i, cb) in plan.batches.iter().enumerate() {
         // Control plane first: the autoscaler sees the queue depth at
@@ -289,12 +328,13 @@ pub fn simulate_cluster(
         if let Some(scaler) = scaler.as_mut() {
             let p99_est = percentile(&est_latencies, 99.0);
             let target = scaler.observe(cb.batch.dispatch_ms, cb.depth_at_dispatch, p99_est);
+            let active = &mut routed.active;
             while active.len() > target {
                 // Drain the highest slot: committed batches still run.
                 active.pop();
             }
             while active.len() < target {
-                match (0..slots).find(|s| !dead[*s] && !active.contains(s)) {
+                match (0..slots).find(|s| !routed.dead[*s] && !active.contains(s)) {
                     Some(s) => {
                         active.push(s);
                         active.sort_unstable();
@@ -306,79 +346,28 @@ pub fn simulate_cluster(
         }
 
         let work = exec.plan(&cb.batch)?;
-        let mut release_ms = cb.batch.dispatch_ms;
-        let mut exclude: Option<usize> = None;
-        let mut outcome = Outcome::Exhausted;
-        for attempt in 1..=cfg.retry.max_attempts {
-            // Retry elsewhere: skip the replica that just faulted unless
-            // it is the only active one.
-            let avail: Vec<usize> = match exclude {
-                Some(x) if active.len() > 1 => active.iter().copied().filter(|&r| r != x).collect(),
-                _ => active.clone(),
-            };
-            let release = clock.ms_to_cycles(release_ms);
-            let placement = router.route(&avail, release);
-            let replica = placement.replica;
-            per_replica_batches[replica] += 1;
-            let stream = streams[replica][placement.stream];
-            let a = enqueue_attempt(&mut sims[replica], clock, stream, &work, release)?;
-            let est_end = router.commit(placement, release, a.cycles);
-            match a.fault {
-                None => {
-                    // Feed the latency estimator (sorted insert) so the
-                    // autoscaler's p99 signal tracks estimated service.
-                    let est_end_ms = clock.cycles_to_ms(est_end);
-                    for request in &cb.batch.requests {
-                        let est = (est_end_ms - request.arrival_ms).max(0.0);
-                        let at = est_latencies.partition_point(|&x| x < est);
-                        est_latencies.insert(at, est);
-                    }
-                    outcome = Outcome::Done {
-                        replica,
-                        tail: a.tail,
-                    };
-                    break;
-                }
-                Some(kind) => {
-                    if kind == FaultKind::DeviceReset && !dead[replica] {
-                        // The replica is gone for the rest of the run —
-                        // unless it is the last one standing, where a
-                        // degraded replica beats an empty cluster.
-                        dead[replica] = true;
-                        if active.len() > 1 {
-                            active.retain(|&r| r != replica);
-                        }
-                    }
-                    if attempt == cfg.retry.max_attempts {
-                        break;
-                    }
-                    retries += 1;
-                    release_ms =
-                        clock.cycles_to_ms(release + a.cycles) + cfg.retry.backoff_ms(i, attempt);
-                    exclude = Some(replica);
-                }
+        let chain = server.submit(i, &work, cb.batch.dispatch_ms, &cfg.retry, &mut routed)?;
+        if scaler.is_some() && matches!(chain.outcome, Outcome::Done { .. }) {
+            // Feed the latency estimator (sorted insert) so the
+            // autoscaler's p99 signal tracks estimated service.
+            let est_end_ms = clock.cycles_to_ms(routed.est_end);
+            for request in &cb.batch.requests {
+                let est = (est_end_ms - request.arrival_ms).max(0.0);
+                let at = est_latencies.partition_point(|&x| x < est);
+                est_latencies.insert(at, est);
             }
         }
-        outcomes.push(outcome);
     }
 
-    let reports = run_schedules(sims)?;
-    let mut tallies: Vec<Tally> = tenants.iter().map(|_| Tally::default()).collect();
-    for (cb, outcome) in plan.batches.iter().zip(&outcomes) {
-        let deadline = tenants[cb.tenant].deadline_ms;
-        tallies[cb.tenant].settle(outcome, &cb.batch, &reports, clock, deadline);
-    }
-    // One schedule span for every tenant's rates.
-    let makespan_ms = reports.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
-    let span_ms = tallies
+    let deadlines: Vec<Option<f64>> = tenants.iter().map(|t| t.deadline_ms).collect();
+    let batches = plan.batches.iter().map(|cb| (cb.tenant, &cb.batch));
+    let settled = server.settle(batches, &deadlines)?;
+
+    let rows: Vec<TenantRow> = settled
+        .tenants
         .iter()
-        .fold(makespan_ms, |span, t| span.max(t.last_end_ms));
-
-    let rows: Vec<TenantRow> = tallies
-        .into_iter()
         .enumerate()
-        .map(|(t, tally)| {
-            let stats = tally.finish(span_ms);
+        .map(|(t, stats)| {
             let arrivals = tenant_of.iter().filter(|&&of| of == t).count();
             TenantRow {
                 name: tenants[t].name.clone(),
@@ -410,16 +399,17 @@ pub fn simulate_cluster(
         shed,
         failed,
         deadline_missed,
-        retries,
+        // Every tenant's report carries the fleet's retry and device columns.
+        retries: settled.tenants[0].retries,
         batches: plan.batches.len(),
-        per_replica_batches,
-        per_replica_occupancy: reports.iter().map(|r| r.mean_kernel_occupancy()).collect(),
-        dead_replicas: (0..slots).filter(|&r| dead[r]).collect(),
+        per_replica_batches: routed.submissions,
+        per_replica_occupancy: settled.per_replica_occupancy,
+        dead_replicas: (0..slots).filter(|&r| routed.dead[r]).collect(),
         scale_events: scaler.map(Autoscaler::into_events).unwrap_or_default(),
         peak_active,
-        throughput_rps: rate(completed + deadline_missed, span_ms),
-        goodput_rps: rate(completed, span_ms),
-        makespan_ms,
+        throughput_rps: rate(completed + deadline_missed, settled.span_ms),
+        goodput_rps: rate(completed, settled.span_ms),
+        makespan_ms: settled.tenants[0].makespan_ms,
     })
 }
 
@@ -810,6 +800,132 @@ mod tests {
         assert_eq!(
             report.tenants[0].slo_attainment, 1.0,
             "no traffic, no misses"
+        );
+    }
+
+    #[test]
+    fn one_replica_one_stream_one_tenant_matches_single_server_serving() {
+        use crate::serving::{simulate, ServingConfig};
+
+        let exec = || GemmExecutor {
+            rows_per_request: 512,
+            dim: 64,
+        };
+        let (mut retried, mut failed, mut missed) = (false, false, false);
+        for seed in 0..12u64 {
+            let arrivals = generate_arrivals(&ArrivalConfig {
+                num_requests: 24,
+                mean_interarrival_ms: 0.3,
+                num_components: 3,
+                seed,
+            })
+            .expect("valid");
+            let tenant_of = vec![0; arrivals.len()];
+            for rate in [0.0, 0.2, 0.4] {
+                for max_attempts in 1..=4 {
+                    for deadline_ms in [None, Some(0.4)] {
+                        let retry = RetryPolicy {
+                            max_attempts,
+                            backoff_base_ms: 0.25,
+                            seed,
+                            ..RetryPolicy::default()
+                        };
+                        let serving = ServingConfig {
+                            streams: 1,
+                            queue: QueuePolicy { capacity: 16 },
+                            batch: BatchPolicy {
+                                max_batch: 4,
+                                max_delay_ms: 0.5,
+                            },
+                            retry: retry.clone(),
+                            deadline_ms,
+                        };
+                        let want = simulate(
+                            &engines(1, rate, seed, 1)[0],
+                            &arrivals,
+                            &serving,
+                            &mut exec(),
+                        )
+                        .expect("runs");
+                        let tenant = [TenantSpec {
+                            name: "only".into(),
+                            weight: 1,
+                            deadline_ms,
+                        }];
+                        for router in [
+                            RouterPolicy::RoundRobin,
+                            RouterPolicy::LeastLoaded,
+                            RouterPolicy::CostAware,
+                        ] {
+                            let cfg = ClusterConfig {
+                                replicas: 1,
+                                streams: 1,
+                                queue: serving.queue.clone(),
+                                batch: serving.batch.clone(),
+                                retry: retry.clone(),
+                                router,
+                                autoscaler: None,
+                            };
+                            let got = simulate_cluster(
+                                &engines(1, rate, seed, 1),
+                                &arrivals,
+                                &tenant_of,
+                                &tenant,
+                                &cfg,
+                                &mut exec(),
+                            )
+                            .expect("runs");
+                            let row = &got.tenants[0];
+                            let case = format!(
+                                "{router:?} seed {seed} rate {rate} \
+                                 attempts {max_attempts} deadline {deadline_ms:?}"
+                            );
+                            assert_eq!(
+                                (got.completed, got.shed, got.failed, got.deadline_missed),
+                                (want.completed, want.shed, want.failed, want.deadline_missed),
+                                "{case}"
+                            );
+                            assert_eq!(
+                                (got.retries, got.batches),
+                                (want.retries, want.batches),
+                                "{case}"
+                            );
+                            let bits = |xs: [f64; 8]| xs.map(f64::to_bits);
+                            assert_eq!(
+                                bits([
+                                    row.p50_ms,
+                                    row.p95_ms,
+                                    row.p99_ms,
+                                    row.mean_ms,
+                                    got.throughput_rps,
+                                    got.goodput_rps,
+                                    got.makespan_ms,
+                                    got.per_replica_occupancy[0],
+                                ]),
+                                bits([
+                                    want.p50_ms,
+                                    want.p95_ms,
+                                    want.p99_ms,
+                                    want.mean_ms,
+                                    want.throughput_rps,
+                                    want.goodput_rps,
+                                    want.makespan_ms,
+                                    want.mean_kernel_occupancy,
+                                ]),
+                                "{case}"
+                            );
+                            assert_eq!(row.goodput_rps.to_bits(), want.goodput_rps.to_bits());
+                        }
+                        retried |= want.retries > 0;
+                        failed |= want.failed > 0;
+                        missed |= want.deadline_missed > 0;
+                    }
+                }
+            }
+        }
+        assert!(
+            retried && failed && missed,
+            "the grid must reach retries, exhausted batches and deadline misses"
         );
     }
 

@@ -3,29 +3,20 @@
 //! A shared cluster serves several *tenants* — independent traffic
 //! classes with their own latency deadlines and a weight that says how
 //! much of the shared admission queue each one is entitled to under
-//! contention. The planner here generalizes the single-stream batcher
-//! ([`crate::serving::batcher`]) to that setting:
-//!
-//! - the admission queue's capacity is shared, but each tenant owns a
-//!   *guaranteed share* proportional to its weight (never below one
-//!   slot);
-//! - a tenant may borrow idle capacity beyond its share, but when the
-//!   queue is full an arrival from an *under-share* tenant evicts the
-//!   newest waiter of the most over-share tenant — so a heavy tenant's
-//!   burst cannot starve a light tenant's trickle;
-//! - batches are tenant-pure (one tenant per batch — tenants may want
-//!   different models, priorities, or billing) and close under the shared
-//!   max-batch / max-delay triggers.
+//! contention. [`plan_cluster_batches`] checks a roster and its
+//! per-request assignment, then runs the serving planner
+//! ([`crate::serving::batcher`]), whose weighted-fair admission gives
+//! each tenant a guaranteed share of the queue and whose batches are
+//! tenant-pure (tenants may want different models, priorities, or
+//! billing).
 //!
 //! Everything is pure policy: trace in, per-tenant dispatch schedule and
 //! shed counts out. Ties break on the lowest tenant index, so the plan is
 //! deterministic for any input.
 
-use crate::serving::batcher::{BatchPolicy, DispatchedBatch, QueuePolicy};
+use crate::serving::batcher::{plan_weighted, BatchPolicy, DispatchedBatch, QueuePolicy};
 use crate::serving::Request;
 use crate::{CoreError, Result};
-
-use std::collections::VecDeque;
 
 /// One traffic class sharing the cluster.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,96 +120,6 @@ pub struct ClusterPlan {
     pub shed_per_tenant: Vec<u64>,
 }
 
-/// Weighted-fair admission state over one shared capacity.
-struct Admission {
-    queues: Vec<VecDeque<Request>>,
-    shares: Vec<usize>,
-    shed: Vec<u64>,
-    capacity: usize,
-    waiting: usize,
-}
-
-impl Admission {
-    fn new(tenants: &[TenantSpec], capacity: usize) -> Self {
-        let total: u64 = tenants.iter().map(|t| u64::from(t.weight)).sum();
-        // Guaranteed share: proportional floor, never below one slot.
-        let shares = tenants
-            .iter()
-            .map(|t| (((capacity as u64) * u64::from(t.weight)) / total).max(1) as usize)
-            .collect();
-        Self {
-            queues: tenants.iter().map(|_| VecDeque::new()).collect(),
-            shares,
-            shed: vec![0; tenants.len()],
-            capacity,
-            waiting: 0,
-        }
-    }
-
-    /// Offers one arrival of tenant `t`: admit into slack, or reclaim a
-    /// guaranteed slot by evicting the newest waiter of the most
-    /// over-share tenant, or shed. Returns whether the request waits.
-    fn offer(&mut self, t: usize, request: Request) -> bool {
-        if self.waiting < self.capacity {
-            self.queues[t].push_back(request);
-            self.waiting += 1;
-            return true;
-        }
-        if self.queues[t].len() < self.shares[t] {
-            // The queue is full of borrowers while `t` is under its
-            // guarantee: evict the newest request of the tenant furthest
-            // over its own share (ties: lowest index). Some over-share
-            // tenant must exist — the shares sum to at most the capacity.
-            let victim = (0..self.queues.len())
-                .filter(|&v| self.queues[v].len() > self.shares[v])
-                .max_by_key(|&v| self.queues[v].len() - self.shares[v]);
-            if let Some(v) = victim {
-                self.queues[v].pop_back();
-                self.shed[v] += 1;
-                self.queues[t].push_back(request);
-                return true;
-            }
-        }
-        self.shed[t] += 1;
-        false
-    }
-
-    /// The tenant whose oldest waiter has the earliest delay deadline
-    /// (ties: lowest index), if anyone is waiting.
-    fn earliest_deadline(&self, max_delay_ms: f64) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (t, q) in self.queues.iter().enumerate() {
-            if let Some(front) = q.front() {
-                let deadline = front.arrival_ms + max_delay_ms;
-                if best.is_none_or(|(_, d)| deadline < d) {
-                    best = Some((t, deadline));
-                }
-            }
-        }
-        best
-    }
-
-    /// Drains up to `max_batch` of tenant `t`'s waiters into a batch
-    /// dispatched at `at_ms`.
-    fn dispatch(&mut self, t: usize, at_ms: f64, max_batch: usize, out: &mut Vec<ClusterBatch>) {
-        let depth_at_dispatch = self.waiting;
-        let take = self.queues[t].len().min(max_batch);
-        let mut requests = Vec::with_capacity(take);
-        for _ in 0..take {
-            requests.push(self.queues[t].pop_front().expect("len checked"));
-            self.waiting -= 1;
-        }
-        out.push(ClusterBatch {
-            tenant: t,
-            depth_at_dispatch,
-            batch: DispatchedBatch {
-                dispatch_ms: at_ms,
-                requests,
-            },
-        });
-    }
-}
-
 /// Replays `arrivals` (sorted, with `tenant_of[i]` naming request `i`'s
 /// tenant) through weighted-fair admission and per-tenant batching.
 pub fn plan_cluster_batches(
@@ -255,43 +156,25 @@ pub fn plan_cluster_batches(
             ),
         });
     }
-    // Reuse the single-tenant validation for the batch/queue policies.
-    crate::serving::plan_batches(&[], queue, policy)?;
-    for pair in arrivals.windows(2) {
-        if pair[0].arrival_ms > pair[1].arrival_ms {
-            return Err(CoreError::Serving {
-                reason: format!(
-                    "arrival trace is not sorted: {} ms after {} ms",
-                    pair[1].arrival_ms, pair[0].arrival_ms
-                ),
-            });
-        }
-    }
-
-    let mut adm = Admission::new(tenants, queue.capacity);
+    let weights: Vec<u32> = tenants.iter().map(|t| t.weight).collect();
     let mut batches = Vec::new();
-    for (request, &t) in arrivals.iter().zip(tenant_of) {
-        // Fire every delay deadline that elapses before this arrival, in
-        // deadline order (ties: lowest tenant index).
-        while let Some((tenant, deadline)) = adm.earliest_deadline(policy.max_delay_ms) {
-            if deadline <= request.arrival_ms {
-                adm.dispatch(tenant, deadline, policy.max_batch, &mut batches);
-            } else {
-                break;
-            }
-        }
-        if adm.offer(t, request.clone()) && adm.queues[t].len() >= policy.max_batch {
-            adm.dispatch(t, request.arrival_ms, policy.max_batch, &mut batches);
-        }
-    }
-    // End of trace: leftovers still wait out their delay deadlines.
-    while let Some((tenant, deadline)) = adm.earliest_deadline(policy.max_delay_ms) {
-        adm.dispatch(tenant, deadline, policy.max_batch, &mut batches);
-    }
-
+    let shed_per_tenant = plan_weighted(
+        arrivals,
+        |i| tenant_of[i],
+        &weights,
+        queue,
+        policy,
+        |tenant, depth_at_dispatch, batch| {
+            batches.push(ClusterBatch {
+                tenant,
+                depth_at_dispatch,
+                batch,
+            })
+        },
+    )?;
     Ok(ClusterPlan {
         batches,
-        shed_per_tenant: adm.shed,
+        shed_per_tenant,
     })
 }
 

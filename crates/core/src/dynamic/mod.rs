@@ -487,6 +487,7 @@ pub fn simulate_dynamic(
 
     let plan = plan_batches(arrivals, &cfg.serving.queue, &cfg.serving.batch)?;
     let mut server = SlotServer::new(engines, cfg.serving.streams, plan.batches.len())?;
+    let mut slots = server.fixed_slots();
 
     let mut live = LiveGraph::new(base);
     let mut update_idx = 0usize;
@@ -534,6 +535,7 @@ pub fn simulate_dynamic(
             &work,
             batch.dispatch_ms.max(maintenance_until_ms),
             &cfg.serving.retry,
+            &mut slots,
         )?;
 
         // 4. Feed the policy and maybe rebuild.

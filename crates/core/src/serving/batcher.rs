@@ -1,21 +1,34 @@
-//! Dynamic batching policy.
+//! Admission and dynamic batching: the one planner behind every serving
+//! path.
 //!
-//! Replays an arrival trace through the bounded admission queue and
+//! Replays an arrival trace through a bounded admission queue and
 //! decides *when* to coalesce waiting requests into device batches. Two
 //! triggers, the standard max-batch / max-delay pair:
 //!
-//! - **size**: the instant the queue reaches `max_batch` waiters, a full
-//!   batch dispatches;
+//! - **size**: the instant a tenant has `max_batch` waiters, a full batch
+//!   dispatches;
 //! - **delay**: a partial batch dispatches when its oldest waiter has
 //!   been queued for `max_delay_ms` — the latency bound a size trigger
 //!   alone cannot give under light load.
 //!
+//! The queue's capacity is shared by weighted tenants: each owns a
+//! *guaranteed share* proportional to its weight (never below one slot)
+//! and may borrow idle capacity beyond it, but when the queue is full an
+//! arrival from an under-share tenant evicts the newest waiter of the
+//! most over-share tenant — so a heavy tenant's burst cannot starve a
+//! light tenant's trickle. Batches are tenant-pure. [`plan_batches`] is
+//! the one-tenant case: its share is the whole capacity, so a full queue
+//! sheds the arrival; [`crate::cluster::plan_cluster_batches`] plans a
+//! tenant roster.
+//!
 //! The planner is pure (no device interaction): it maps an arrival trace
-//! to a deterministic sequence of [`DispatchedBatch`]es plus a shed
-//! count, which [`super::simulate`] then prices on the simulated GPU.
+//! to a deterministic sequence of [`DispatchedBatch`]es plus shed counts,
+//! ties breaking on the lowest tenant index, which the serving paths then
+//! price on the simulated GPU.
+
+use std::collections::VecDeque;
 
 use super::arrivals::Request;
-use super::queue::BoundedQueue;
 use crate::{CoreError, Result};
 
 /// When to close a forming batch.
@@ -77,32 +90,111 @@ fn validate(queue: &QueuePolicy, policy: &BatchPolicy) -> Result<()> {
     Ok(())
 }
 
-/// Drains up to `max_batch` requests into a batch dispatched at `at_ms`.
-fn dispatch(
-    at_ms: f64,
-    queue: &mut BoundedQueue<Request>,
-    max_batch: usize,
-    out: &mut Vec<DispatchedBatch>,
-) {
-    let take = queue.len().min(max_batch);
-    let mut requests = Vec::with_capacity(take);
-    for _ in 0..take {
-        requests.push(queue.pop().expect("len checked"));
-    }
-    out.push(DispatchedBatch {
-        dispatch_ms: at_ms,
-        requests,
-    });
+/// Weighted-fair admission state over one shared capacity.
+struct Admission {
+    queues: Vec<VecDeque<Request>>,
+    shares: Vec<usize>,
+    shed: Vec<u64>,
+    capacity: usize,
+    waiting: usize,
 }
 
-/// Replays `arrivals` (must be sorted by `arrival_ms`) through the
-/// admission queue and batching policy.
-pub fn plan_batches(
+impl Admission {
+    fn new(weights: &[u32], capacity: usize) -> Self {
+        let total: u64 = weights.iter().map(|&w| u64::from(w)).sum();
+        // Guaranteed share: proportional floor, never below one slot.
+        let shares = weights
+            .iter()
+            .map(|&w| (((capacity as u64) * u64::from(w)) / total).max(1) as usize)
+            .collect();
+        Self {
+            queues: weights.iter().map(|_| VecDeque::new()).collect(),
+            shares,
+            shed: vec![0; weights.len()],
+            capacity,
+            waiting: 0,
+        }
+    }
+
+    /// Offers one arrival of tenant `t`: admit into slack, or reclaim a
+    /// guaranteed slot by evicting the newest waiter of the most
+    /// over-share tenant, or shed. Returns whether the request waits.
+    fn offer(&mut self, t: usize, request: Request) -> bool {
+        if self.waiting < self.capacity {
+            self.queues[t].push_back(request);
+            self.waiting += 1;
+            return true;
+        }
+        if self.queues[t].len() < self.shares[t] {
+            // The queue is full of borrowers while `t` is under its
+            // guarantee: evict the newest request of the tenant furthest
+            // over its own share (ties: lowest index). Some over-share
+            // tenant must exist — the shares sum to at most the capacity.
+            let victim = (0..self.queues.len())
+                .filter(|&v| self.queues[v].len() > self.shares[v])
+                .max_by_key(|&v| self.queues[v].len() - self.shares[v]);
+            if let Some(v) = victim {
+                self.queues[v].pop_back();
+                self.shed[v] += 1;
+                self.queues[t].push_back(request);
+                return true;
+            }
+        }
+        self.shed[t] += 1;
+        false
+    }
+
+    /// The tenant whose oldest waiter has the earliest delay deadline
+    /// (ties: lowest index), if anyone is waiting.
+    fn earliest_deadline(&self, max_delay_ms: f64) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (t, q) in self.queues.iter().enumerate() {
+            if let Some(front) = q.front() {
+                let deadline = front.arrival_ms + max_delay_ms;
+                if best.is_none_or(|(_, d)| deadline < d) {
+                    best = Some((t, deadline));
+                }
+            }
+        }
+        best
+    }
+
+    /// Drains up to `max_batch` of tenant `t`'s waiters into a batch
+    /// dispatched at `at_ms` and hands it to `emit`.
+    fn dispatch(
+        &mut self,
+        t: usize,
+        at_ms: f64,
+        max_batch: usize,
+        emit: &mut impl FnMut(usize, usize, DispatchedBatch),
+    ) {
+        let depth = self.waiting;
+        let take = self.queues[t].len().min(max_batch);
+        let requests: Vec<Request> = self.queues[t].drain(..take).collect();
+        self.waiting -= take;
+        let batch = DispatchedBatch {
+            dispatch_ms: at_ms,
+            requests,
+        };
+        emit(t, depth, batch);
+    }
+}
+
+/// Replays `arrivals` (must be sorted by `arrival_ms`; request `i`
+/// belongs to tenant `tenant_of(i)`) through weighted-fair admission over
+/// tenants of the given `weights` (each at least 1) and per-tenant
+/// batching. Every batch goes to `emit(tenant, depth, batch)` in dispatch
+/// order, `depth` being the requests waiting across all tenants just
+/// before it drained. Returns the requests shed (or evicted) per tenant.
+pub(crate) fn plan_weighted(
     arrivals: &[Request],
-    queue_policy: &QueuePolicy,
+    tenant_of: impl Fn(usize) -> usize,
+    weights: &[u32],
+    queue: &QueuePolicy,
     policy: &BatchPolicy,
-) -> Result<BatchPlan> {
-    validate(queue_policy, policy)?;
+    mut emit: impl FnMut(usize, usize, DispatchedBatch),
+) -> Result<Vec<u64>> {
+    validate(queue, policy)?;
     for pair in arrivals.windows(2) {
         if pair[0].arrival_ms > pair[1].arrival_ms {
             return Err(CoreError::Serving {
@@ -114,37 +206,49 @@ pub fn plan_batches(
         }
     }
 
-    let mut queue: BoundedQueue<Request> = BoundedQueue::new(queue_policy.capacity);
-    let mut batches = Vec::new();
-    for request in arrivals {
-        // Fire every delay deadline that elapses before this arrival.
-        while let Some(front) = queue.front() {
-            let deadline = front.arrival_ms + policy.max_delay_ms;
+    let mut adm = Admission::new(weights, queue.capacity);
+    for (i, request) in arrivals.iter().enumerate() {
+        // Fire every delay deadline that elapses before this arrival, in
+        // deadline order (ties: lowest tenant index).
+        while let Some((t, deadline)) = adm.earliest_deadline(policy.max_delay_ms) {
             if deadline <= request.arrival_ms {
-                dispatch(deadline, &mut queue, policy.max_batch, &mut batches);
+                adm.dispatch(t, deadline, policy.max_batch, &mut emit);
             } else {
                 break;
             }
         }
-        if queue.offer(request.clone()) && queue.len() >= policy.max_batch {
-            dispatch(
-                request.arrival_ms,
-                &mut queue,
-                policy.max_batch,
-                &mut batches,
-            );
+        let t = tenant_of(i);
+        if adm.offer(t, request.clone()) && adm.queues[t].len() >= policy.max_batch {
+            adm.dispatch(t, request.arrival_ms, policy.max_batch, &mut emit);
         }
     }
     // End of trace: the server does not know the trace ended, so each
     // leftover batch still waits out its oldest member's delay deadline.
-    while !queue.is_empty() {
-        let deadline = queue.front().expect("non-empty").arrival_ms + policy.max_delay_ms;
-        dispatch(deadline, &mut queue, policy.max_batch, &mut batches);
+    while let Some((t, deadline)) = adm.earliest_deadline(policy.max_delay_ms) {
+        adm.dispatch(t, deadline, policy.max_batch, &mut emit);
     }
+    Ok(adm.shed)
+}
 
+/// Replays `arrivals` (must be sorted by `arrival_ms`) through the
+/// admission queue and batching policy, all requests one tenant.
+pub fn plan_batches(
+    arrivals: &[Request],
+    queue_policy: &QueuePolicy,
+    policy: &BatchPolicy,
+) -> Result<BatchPlan> {
+    let mut batches = Vec::new();
+    let shed = plan_weighted(
+        arrivals,
+        |_| 0,
+        &[1],
+        queue_policy,
+        policy,
+        |_, _, batch| batches.push(batch),
+    )?;
     Ok(BatchPlan {
         batches,
-        shed: queue.shed_count(),
+        shed: shed[0],
     })
 }
 
@@ -317,6 +421,191 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The single-tenant planner (bounded FIFO plus max-batch / max-delay
+    /// triggers) as it stood before the weighted-fair planner absorbed
+    /// it, kept as the reference the one planner must reproduce.
+    mod oracle {
+        use super::*;
+        use std::collections::VecDeque;
+
+        struct BoundedQueue<T> {
+            items: VecDeque<T>,
+            capacity: usize,
+            shed: u64,
+        }
+
+        impl<T> BoundedQueue<T> {
+            fn new(capacity: usize) -> Self {
+                assert!(capacity > 0, "queue capacity must be at least 1");
+                Self {
+                    items: VecDeque::with_capacity(capacity),
+                    capacity,
+                    shed: 0,
+                }
+            }
+
+            fn offer(&mut self, item: T) -> bool {
+                if self.items.len() >= self.capacity {
+                    self.shed += 1;
+                    false
+                } else {
+                    self.items.push_back(item);
+                    true
+                }
+            }
+
+            fn pop(&mut self) -> Option<T> {
+                self.items.pop_front()
+            }
+
+            fn front(&self) -> Option<&T> {
+                self.items.front()
+            }
+
+            fn len(&self) -> usize {
+                self.items.len()
+            }
+
+            fn is_empty(&self) -> bool {
+                self.items.is_empty()
+            }
+
+            fn shed_count(&self) -> u64 {
+                self.shed
+            }
+        }
+
+        fn dispatch(
+            at_ms: f64,
+            queue: &mut BoundedQueue<Request>,
+            max_batch: usize,
+            out: &mut Vec<DispatchedBatch>,
+        ) {
+            let take = queue.len().min(max_batch);
+            let mut requests = Vec::with_capacity(take);
+            for _ in 0..take {
+                requests.push(queue.pop().expect("len checked"));
+            }
+            out.push(DispatchedBatch {
+                dispatch_ms: at_ms,
+                requests,
+            });
+        }
+
+        /// The old `plan_batches` loop on a valid, sorted trace.
+        pub fn plan_batches(
+            arrivals: &[Request],
+            queue_policy: &QueuePolicy,
+            policy: &BatchPolicy,
+        ) -> BatchPlan {
+            let mut queue: BoundedQueue<Request> = BoundedQueue::new(queue_policy.capacity);
+            let mut batches = Vec::new();
+            for request in arrivals {
+                while let Some(front) = queue.front() {
+                    let deadline = front.arrival_ms + policy.max_delay_ms;
+                    if deadline <= request.arrival_ms {
+                        dispatch(deadline, &mut queue, policy.max_batch, &mut batches);
+                    } else {
+                        break;
+                    }
+                }
+                if queue.offer(request.clone()) && queue.len() >= policy.max_batch {
+                    dispatch(
+                        request.arrival_ms,
+                        &mut queue,
+                        policy.max_batch,
+                        &mut batches,
+                    );
+                }
+            }
+            while !queue.is_empty() {
+                let deadline = queue.front().expect("non-empty").arrival_ms + policy.max_delay_ms;
+                dispatch(deadline, &mut queue, policy.max_batch, &mut batches);
+            }
+            BatchPlan {
+                batches,
+                shed: queue.shed_count(),
+            }
+        }
+    }
+
+    #[test]
+    fn one_tenant_planning_matches_the_single_tenant_oracle() {
+        use crate::cluster::{plan_cluster_batches, TenantSpec};
+        use crate::serving::{
+            generate_arrivals, generate_mmpp_arrivals, ArrivalConfig, MmppConfig,
+        };
+
+        let tenant = [TenantSpec {
+            name: "only".into(),
+            weight: 1,
+            deadline_ms: None,
+        }];
+        let mut traces = Vec::new();
+        for seed in 0..40 {
+            traces.push(
+                generate_arrivals(&ArrivalConfig {
+                    num_requests: 120,
+                    mean_interarrival_ms: 0.2,
+                    num_components: 4,
+                    seed,
+                })
+                .expect("valid"),
+            );
+            traces.push(
+                generate_mmpp_arrivals(&MmppConfig {
+                    num_requests: 120,
+                    phase_interarrival_ms: vec![0.05, 2.0],
+                    mean_dwell_ms: 5.0,
+                    num_components: 4,
+                    seed,
+                })
+                .expect("valid"),
+            );
+        }
+        // The generators never repeat an instant. Copies snapped to a
+        // 0.5 ms grid add tied arrivals and delay deadlines that land
+        // exactly on an arrival.
+        let snapped: Vec<Vec<Request>> = traces
+            .iter()
+            .map(|trace| {
+                let snap = |r: &Request| Request {
+                    arrival_ms: (r.arrival_ms * 2.0).floor() / 2.0,
+                    ..r.clone()
+                };
+                trace.iter().map(snap).collect()
+            })
+            .collect();
+        traces.extend(snapped);
+        let (mut cases, mut shed_cases) = (0, 0);
+        for arrivals in &traces {
+            let tenant_of = vec![0; arrivals.len()];
+            for capacity in [1, 2, 5, 16, 64] {
+                for (max_batch, max_delay_ms) in [(1, 0.0), (4, 0.0), (4, 0.5), (8, 2.0), (32, 1.0)]
+                {
+                    let q = queue(capacity);
+                    let p = policy(max_batch, max_delay_ms);
+                    let want = oracle::plan_batches(arrivals, &q, &p);
+                    let got = plan_batches(arrivals, &q, &p).expect("valid");
+                    assert_eq!(
+                        got, want,
+                        "cap {capacity} batch {max_batch} delay {max_delay_ms}"
+                    );
+                    let cluster =
+                        plan_cluster_batches(arrivals, &tenant_of, &tenant, &q, &p).expect("valid");
+                    assert_eq!(cluster.shed_per_tenant, vec![want.shed]);
+                    let batches: Vec<DispatchedBatch> =
+                        cluster.batches.into_iter().map(|cb| cb.batch).collect();
+                    assert_eq!(batches, want.batches);
+                    cases += 1;
+                    shed_cases += usize::from(want.shed > 0);
+                }
+            }
+        }
+        assert_eq!(cases, 4_000);
+        assert!(shed_cases > 0, "the grid must reach the shedding path");
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The serving core behind [`super::simulate`],
 //! [`crate::dynamic::simulate_dynamic`] and
 //! [`crate::cluster::simulate_cluster`]: one attempt loop
-//! ([`enqueue_attempt`]), one fixed-slot retry chain ([`SlotServer`]), one
-//! outcome [`Tally`] and one [`ServingReport`] assembly. Every replica
-//! shares one clock ([`shared_clock`]), so retry releases, router
+//! ([`enqueue_attempt`]), one retry chain ([`SlotServer::submit`]) whose
+//! placement is a [`PlaceAttempt`] rule — [`FixedSlots`] for the
+//! single-server paths, the cluster's routed rule for the fleet — one
+//! outcome [`Tally`] per tenant and one [`ServingReport`] assembly. Every
+//! replica shares one clock ([`shared_clock`]), so retry releases, router
 //! estimates and completion instants all live in one spec's cycles.
 
 use gnnadvisor_gpu::fault::FaultKind;
@@ -104,21 +106,55 @@ pub(crate) enum Outcome {
 #[derive(Debug)]
 pub(crate) struct Chain {
     pub outcome: Outcome,
-    pub retries: u64,
     /// Release instant of the last attempt, ms.
     pub release_ms: f64,
     /// The first attempt (retries re-price the same work).
     pub first: Attempt,
 }
 
-/// Batches round-robin over `replicas x streams` fixed slots; a faulted
-/// batch retries on its own slot once the failed attempt's estimated end
-/// plus backoff has passed.
+/// Where each attempt of a batch runs: the one decision the serving paths
+/// make differently.
+pub(crate) trait PlaceAttempt {
+    /// The `(replica, stream)` slot of an attempt of `batch` released at
+    /// `release`; `faulted` is the replica of its attempt that just faulted.
+    fn place(&mut self, batch: usize, release: u64, faulted: Option<usize>) -> (usize, usize);
+
+    /// Learns how the attempt placed on `slot` went.
+    fn record(&mut self, _slot: (usize, usize), _release: u64, _attempt: &Attempt) {}
+}
+
+/// Batch `i` runs on slot `i % (replicas x streams)`, replica-major, and
+/// retries there.
+pub(crate) struct FixedSlots {
+    replicas: usize,
+    streams: usize,
+}
+
+impl PlaceAttempt for FixedSlots {
+    fn place(&mut self, batch: usize, _: u64, _: Option<usize>) -> (usize, usize) {
+        let slot = batch % (self.replicas * self.streams);
+        (slot / self.streams, slot % self.streams)
+    }
+}
+
+/// One report per tenant, in roster order: that tenant's requests with
+/// rates over the shared `span_ms`, plus the fleet's retry and device
+/// columns (`shed` and `batches` are the caller's).
+pub(crate) struct Settled {
+    pub tenants: Vec<ServingReport>,
+    pub span_ms: f64,
+    /// Each replica's own mean kernel occupancy.
+    pub per_replica_occupancy: Vec<f64>,
+}
+
+/// `streams` streams on each replica engine. Each batch's retry chain
+/// runs on the slots a [`PlaceAttempt`] rule picks, a retry released once
+/// the failed attempt's estimated end plus backoff has passed.
 pub(crate) struct SlotServer<'e> {
     clock: &'e GpuSpec,
     sims: Vec<StreamSim<'e>>,
-    /// `(replica, stream)`, replica-major.
-    slots: Vec<(usize, StreamId)>,
+    /// `[replica][stream]`.
+    streams: Vec<Vec<StreamId>>,
     outcomes: Vec<Outcome>,
     retries: u64,
 }
@@ -129,38 +165,47 @@ impl<'e> SlotServer<'e> {
     pub fn new(engines: &'e [Engine], streams: usize, batches: usize) -> Result<Self> {
         let clock = shared_clock(engines)?;
         let mut sims: Vec<StreamSim<'e>> = engines.iter().map(StreamSim::new).collect();
-        let mut slots = Vec::new();
-        for (replica, sim) in sims.iter_mut().enumerate() {
-            slots.extend((0..streams).map(|_| (replica, sim.stream())));
-        }
+        let streams = sims
+            .iter_mut()
+            .map(|sim| (0..streams).map(|_| sim.stream()).collect())
+            .collect();
         Ok(Self {
             clock,
             sims,
-            slots,
+            streams,
             outcomes: Vec::with_capacity(batches),
             retries: 0,
         })
     }
 
-    /// Runs batch `batch`'s retry chain on slot `batch % slots`, first
-    /// released at `release_ms`. Call once per batch, in dispatch order.
+    /// The fixed-slot rule over this server's slots.
+    pub fn fixed_slots(&self) -> FixedSlots {
+        let (replicas, streams) = (self.streams.len(), self.streams[0].len());
+        FixedSlots { replicas, streams }
+    }
+
+    /// Runs batch `batch`'s retry chain, first released at `release_ms`,
+    /// on the slots `rule` picks. Call once per batch, in dispatch order.
     pub fn submit(
         &mut self,
         batch: usize,
         work: &BatchWork,
         release_ms: f64,
         retry: &RetryPolicy,
+        rule: &mut dyn PlaceAttempt,
     ) -> Result<Chain> {
-        let (replica, stream) = self.slots[batch % self.slots.len()];
         let mut chain = Chain {
             outcome: Outcome::Exhausted,
-            retries: 0,
             release_ms,
             first: Attempt::default(),
         };
+        let mut faulted = None;
         for attempt in 1..=retry.max_attempts {
             let release = self.clock.ms_to_cycles(chain.release_ms);
+            let slot @ (replica, stream) = rule.place(batch, release, faulted);
+            let stream = self.streams[replica][stream];
             let a = enqueue_attempt(&mut self.sims[replica], self.clock, stream, work, release)?;
+            rule.record(slot, release, &a);
             if attempt == 1 {
                 chain.first = a;
             }
@@ -174,40 +219,56 @@ impl<'e> SlotServer<'e> {
             if attempt == retry.max_attempts {
                 break;
             }
-            chain.retries += 1;
+            self.retries += 1;
             chain.release_ms =
                 self.clock.cycles_to_ms(release + a.cycles) + retry.backoff_ms(batch, attempt);
+            faulted = Some(replica);
         }
-        self.retries += chain.retries;
         self.outcomes.push(chain.outcome);
         Ok(chain)
     }
 
     /// Runs every replica's schedule and reports on `plan`, whose batches
-    /// were all submitted.
+    /// were all submitted as one tenant's.
     pub fn finish(self, plan: &BatchPlan, deadline_ms: Option<f64>) -> Result<ServingReport> {
-        let reports = run_schedules(self.sims)?;
-        let mut tally = Tally::default();
-        for (batch, outcome) in plan.batches.iter().zip(&self.outcomes) {
-            tally.settle(outcome, batch, &reports, self.clock, deadline_ms);
-        }
-        let makespan_ms = reports.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
+        let batches = plan.batches.iter().map(|batch| (0, batch));
+        let mut settled = self.settle(batches, &[deadline_ms])?;
         Ok(ServingReport {
             shed: plan.shed,
-            retries: self.retries,
             batches: plan.batches.len(),
-            makespan_ms,
-            kernel_busy_cycles: reports.iter().map(|r| r.kernel_busy_cycles).sum(),
-            copy_busy_cycles: reports.iter().map(|r| r.copy_busy_cycles).sum(),
-            mean_kernel_occupancy: mean_kernel_occupancy(&reports),
-            ..tally.finish(makespan_ms)
+            ..settled.tenants.swap_remove(0)
         })
     }
-}
 
-pub(crate) fn run_schedules(sims: Vec<StreamSim<'_>>) -> Result<Vec<StreamReport>> {
-    let reports: gnnadvisor_gpu::Result<_> = sims.into_iter().map(StreamSim::run).collect();
-    Ok(reports?)
+    /// Runs every replica's schedule and settles the submitted batches,
+    /// given in submission order with their tenants, each tenant under
+    /// its entry in `deadlines`.
+    pub fn settle<'b>(
+        self,
+        batches: impl IntoIterator<Item = (usize, &'b DispatchedBatch)>,
+        deadlines: &[Option<f64>],
+    ) -> Result<Settled> {
+        let reports: gnnadvisor_gpu::Result<Vec<StreamReport>> =
+            self.sims.into_iter().map(StreamSim::run).collect();
+        let reports = reports?;
+        let mut tallies: Vec<Tally> = deadlines.iter().map(|_| Tally::default()).collect();
+        for ((tenant, batch), outcome) in batches.into_iter().zip(&self.outcomes) {
+            tallies[tenant].settle(outcome, batch, &reports, self.clock, deadlines[tenant]);
+        }
+        let makespan_ms = reports.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
+        let span_ms = tallies
+            .iter()
+            .fold(makespan_ms, |span, t| span.max(t.last_end_ms));
+        let retries = self.retries;
+        Ok(Settled {
+            tenants: tallies
+                .into_iter()
+                .map(|t| t.finish(span_ms, makespan_ms, retries, &reports))
+                .collect(),
+            span_ms,
+            per_replica_occupancy: reports.iter().map(|r| r.mean_kernel_occupancy()).collect(),
+        })
+    }
 }
 
 /// One replica's own mean; several merge weighted by kernel busy time
@@ -238,19 +299,19 @@ pub(crate) fn rate(count: usize, span_ms: f64) -> f64 {
 /// Every request lands in exactly one bucket: completed (its latency
 /// kept), deadline-missed, or failed.
 #[derive(Debug, Default)]
-pub(crate) struct Tally {
+struct Tally {
     latencies: Vec<f64>,
     failed: usize,
     deadline_missed: usize,
     /// Latest completion instant, ms (a zero-op batch completes at its
     /// dispatch instant without extending the makespan).
-    pub last_end_ms: f64,
+    last_end_ms: f64,
 }
 
 impl Tally {
     /// Records `batch` by `outcome`, reading its completion instant from
     /// the replica's schedule.
-    pub fn settle(
+    fn settle(
         &mut self,
         outcome: &Outcome,
         batch: &DispatchedBatch,
@@ -276,11 +337,16 @@ impl Tally {
         }
     }
 
-    /// The request-side half of a report: buckets, latency percentiles
-    /// and rates over `span_ms` (raised to the latest completion). The
-    /// batch and device columns stay zero for the caller to fill.
-    pub fn finish(mut self, span_ms: f64) -> ServingReport {
-        let span_ms = span_ms.max(self.last_end_ms);
+    /// The tally's buckets, latency percentiles and rates over `span_ms`,
+    /// beside the fleet's device columns from `reports`; `shed` and
+    /// `batches` stay zero for the caller to fill.
+    fn finish(
+        mut self,
+        span_ms: f64,
+        makespan_ms: f64,
+        retries: u64,
+        reports: &[StreamReport],
+    ) -> ServingReport {
         let lat = &mut self.latencies;
         lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
         let completed = lat.len();
@@ -298,12 +364,12 @@ impl Tally {
             throughput_rps: rate(completed + self.deadline_missed, span_ms),
             goodput_rps: rate(completed, span_ms),
             shed: 0,
-            retries: 0,
+            retries,
             batches: 0,
-            makespan_ms: 0.0,
-            kernel_busy_cycles: 0,
-            copy_busy_cycles: 0,
-            mean_kernel_occupancy: 0.0,
+            makespan_ms,
+            kernel_busy_cycles: reports.iter().map(|r| r.kernel_busy_cycles).sum(),
+            copy_busy_cycles: reports.iter().map(|r| r.copy_busy_cycles).sum(),
+            mean_kernel_occupancy: mean_kernel_occupancy(reports),
         }
     }
 }

@@ -3,8 +3,8 @@
 //! GNNAdvisor's runtime (the paper, Section 4) optimizes one forward pass
 //! at a time. This module layers an *inference server* on top of the same
 //! simulated device: an open-loop arrival process ([`arrivals`]) feeds a
-//! bounded admission queue ([`queue`]), a dynamic batcher coalesces
-//! waiting requests under a max-batch / max-delay policy ([`batcher`]),
+//! bounded admission queue, and a dynamic batcher coalesces waiting
+//! requests under a max-batch / max-delay policy ([`batcher`]),
 //! and the dispatched batches execute on concurrent simulated streams
 //! ([`gnnadvisor_gpu::stream`]) so host↔device copies overlap compute and
 //! small kernels co-reside on the SMs.
@@ -37,14 +37,12 @@
 pub mod arrivals;
 pub mod batcher;
 pub(crate) mod exec;
-pub mod queue;
 pub mod retry;
 
 pub use arrivals::{
     generate_arrivals, generate_mmpp_arrivals, replay_trace, ArrivalConfig, MmppConfig, Request,
 };
 pub use batcher::{plan_batches, BatchPlan, BatchPolicy, DispatchedBatch, QueuePolicy};
-pub use queue::BoundedQueue;
 pub use retry::RetryPolicy;
 
 use gnnadvisor_gpu::{Engine, Kernel, Workload};
@@ -268,9 +266,10 @@ pub fn simulate(
         cfg.streams,
         plan.batches.len(),
     )?;
+    let mut slots = server.fixed_slots();
     for (i, batch) in plan.batches.iter().enumerate() {
         let work = exec.plan(batch)?;
-        server.submit(i, &work, batch.dispatch_ms, &cfg.retry)?;
+        server.submit(i, &work, batch.dispatch_ms, &cfg.retry, &mut slots)?;
     }
     server.finish(&plan, cfg.deadline_ms)
 }

@@ -23,10 +23,11 @@
 use std::sync::Arc;
 
 use gnnadvisor_core::dynamic::{SnapshotAggregationKernel, SnapshotExecutor, SnapshotKernelHandle};
-use gnnadvisor_core::kernels::spmm_dgl::StackingKernel;
 use gnnadvisor_core::serving::{BatchWork, DeviceWork, DispatchedBatch};
 use gnnadvisor_core::{CoreError, Result, RuntimeParams};
 use gnnadvisor_graph::Csr;
+
+use crate::serve::push_gcn_layers;
 
 /// Bytes of one `f32` / one edge index.
 const WORD: usize = 4;
@@ -73,14 +74,6 @@ impl DynamicGcnExecutor {
             resident: None,
         })
     }
-
-    /// The layer dimensionalities, outermost first.
-    fn layer_dims(&self) -> [(usize, usize); 2] {
-        [
-            (self.in_dim, self.hidden_dim),
-            (self.hidden_dim, self.num_classes),
-        ]
-    }
 }
 
 impl SnapshotExecutor for DynamicGcnExecutor {
@@ -112,21 +105,10 @@ impl SnapshotExecutor for DynamicGcnExecutor {
         ops.push(DeviceWork::Transfer {
             bytes: (batch.requests.len() * self.in_dim * WORD) as u64,
         });
-        // Update-then-aggregate per layer (the paper's GCN ordering:
-        // dimension reduction first makes aggregation cheaper).
-        for (layer, (in_dim, out_dim)) in self.layer_dims().into_iter().enumerate() {
-            ops.push(DeviceWork::Gemm {
-                m: nodes,
-                n: out_dim,
-                k: in_dim,
-            });
-            ops.push(DeviceWork::Kernel(Box::new(StackingKernel::new(
-                nodes, out_dim,
-            ))));
-            ops.push(DeviceWork::Kernel(Box::new(SnapshotKernelHandle(
-                resident.layers[layer].clone(),
-            ))));
-        }
+        let dims = [self.in_dim, self.hidden_dim, self.num_classes];
+        push_gcn_layers(&mut ops, nodes, dims, |layer, _| {
+            Box::new(SnapshotKernelHandle(resident.layers[layer].clone()))
+        });
         // Device -> host: the batch's logits.
         ops.push(DeviceWork::Transfer {
             bytes: (batch.requests.len() * self.num_classes * WORD) as u64,

@@ -45,6 +45,24 @@ impl Kernel for OwnedSpmm {
     }
 }
 
+/// Appends a 2-layer GCN's `in_dim -> hidden_dim -> num_classes` layers
+/// over `nodes` rows, update-then-aggregate per layer (the paper's GCN
+/// ordering: dimension reduction first makes aggregation cheaper): the
+/// GEMM, a DGL-style stacking pass, then `aggregate(layer, out_dim)`.
+pub(crate) fn push_gcn_layers(
+    ops: &mut Vec<DeviceWork>,
+    nodes: usize,
+    [in_dim, hidden_dim, num_classes]: [usize; 3],
+    aggregate: impl Fn(usize, usize) -> Box<dyn Kernel>,
+) {
+    let layers = [(in_dim, hidden_dim), (hidden_dim, num_classes)];
+    for (layer, (k, n)) in layers.into_iter().enumerate() {
+        ops.push(DeviceWork::Gemm { m: nodes, n, k });
+        ops.push(DeviceWork::Kernel(Box::new(StackingKernel::new(nodes, n))));
+        ops.push(DeviceWork::Kernel(aggregate(layer, n)));
+    }
+}
+
 /// Plans the device work of GCN inference batches over a block-diagonal
 /// dataset (one component graph per request).
 pub struct GcnBatchExecutor {
@@ -77,14 +95,6 @@ impl GcnBatchExecutor {
     pub fn num_components(&self) -> usize {
         self.components.len()
     }
-
-    /// The layer dimensionalities, outermost first.
-    fn layer_dims(&self) -> [(usize, usize); 2] {
-        [
-            (self.in_dim, self.hidden_dim),
-            (self.hidden_dim, self.num_classes),
-        ]
-    }
 }
 
 impl BatchExecutor for GcnBatchExecutor {
@@ -114,22 +124,11 @@ impl BatchExecutor for GcnBatchExecutor {
         // Host -> device: input features plus the batch topology.
         let h2d = (nodes * self.in_dim * WORD + (nodes + 1 + edges) * WORD) as u64;
         let mut ops = vec![DeviceWork::Transfer { bytes: h2d }];
-        // Update-then-aggregate per layer (the paper's GCN ordering:
-        // dimension reduction first makes aggregation cheaper).
-        for (in_dim, out_dim) in self.layer_dims() {
-            ops.push(DeviceWork::Gemm {
-                m: nodes,
-                n: out_dim,
-                k: in_dim,
-            });
-            ops.push(DeviceWork::Kernel(Box::new(StackingKernel::new(
-                nodes, out_dim,
-            ))));
-            ops.push(DeviceWork::Kernel(Box::new(OwnedSpmm {
-                graph: merged.clone(),
-                dim: out_dim,
-            })));
-        }
+        let dims = [self.in_dim, self.hidden_dim, self.num_classes];
+        push_gcn_layers(&mut ops, nodes, dims, |_, dim| {
+            let graph = merged.clone();
+            Box::new(OwnedSpmm { graph, dim })
+        });
         // Device -> host: the logits.
         ops.push(DeviceWork::Transfer {
             bytes: (nodes * self.num_classes * WORD) as u64,

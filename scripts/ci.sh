@@ -43,35 +43,49 @@ cmp "$trace_dir/a.json" "$trace_dir/t4.json" || {
   exit 1
 }
 
+# smoke TAG LABEL RUN [PATTERN MESSAGE]...
+# Runs RUN (a function writing one report to the file it is given) twice
+# and at GNNADVISOR_SIM_THREADS=1 and 4, fails with MESSAGE unless the
+# first report contains each PATTERN, and requires all four reports to be
+# byte-identical.
+smoke() {
+  local tag="$1" label="$2" run="$3"
+  shift 3
+  local a="$trace_dir/${tag}_a.txt" b="$trace_dir/${tag}_b.txt"
+  local t1="$trace_dir/${tag}_t1.txt" t4="$trace_dir/${tag}_t4.txt"
+  "$run" "$a"
+  "$run" "$b"
+  GNNADVISOR_SIM_THREADS=1 "$run" "$t1"
+  GNNADVISOR_SIM_THREADS=4 "$run" "$t4"
+  while [ "$#" -gt 0 ]; do
+    grep -q "$1" "$a" || {
+      echo "FAIL: $2" >&2
+      exit 1
+    }
+    shift 2
+  done
+  cmp "$a" "$b" || {
+    echo "FAIL: $label differs between identical runs" >&2
+    exit 1
+  }
+  cmp "$t1" "$t4" || {
+    echo "FAIL: $label depends on GNNADVISOR_SIM_THREADS" >&2
+    exit 1
+  }
+  cmp "$a" "$t1" || {
+    echo "FAIL: $label depends on GNNADVISOR_SIM_THREADS" >&2
+    exit 1
+  }
+}
+
 echo "==> serve-sim smoke: report stable across runs and worker counts"
 serve() {
   cargo run --offline -q --bin gnnadvisor -- \
     serve-sim --requests 32 --rate 4000 --streams 2 --scale 0.02 > "$1"
 }
-serve "$trace_dir/s_a.txt"
-serve "$trace_dir/s_b.txt"
-GNNADVISOR_SIM_THREADS=1 serve "$trace_dir/s_t1.txt"
-GNNADVISOR_SIM_THREADS=4 serve "$trace_dir/s_t4.txt"
-grep -q "latency p50" "$trace_dir/s_a.txt" || {
-  echo "FAIL: serve-sim report missing latency stats" >&2
-  exit 1
-}
-grep -q "kernel occupancy" "$trace_dir/s_a.txt" || {
-  echo "FAIL: serve-sim report missing the kernel occupancy row" >&2
-  exit 1
-}
-cmp "$trace_dir/s_a.txt" "$trace_dir/s_b.txt" || {
-  echo "FAIL: serve-sim report differs between identical runs" >&2
-  exit 1
-}
-cmp "$trace_dir/s_t1.txt" "$trace_dir/s_t4.txt" || {
-  echo "FAIL: serve-sim report depends on GNNADVISOR_SIM_THREADS" >&2
-  exit 1
-}
-cmp "$trace_dir/s_a.txt" "$trace_dir/s_t1.txt" || {
-  echo "FAIL: serve-sim report depends on GNNADVISOR_SIM_THREADS" >&2
-  exit 1
-}
+smoke s "serve-sim report" serve \
+  "latency p50" "serve-sim report missing latency stats" \
+  "kernel occupancy" "serve-sim report missing the kernel occupancy row"
 
 echo "==> chaos smoke: faulted serve-sim stable across runs and worker counts"
 chaos() {
@@ -79,26 +93,8 @@ chaos() {
     serve-sim --requests 32 --rate 4000 --streams 2 --scale 0.02 \
     --fault-rate 0.2 --retries 2 --deadline-ms 40 > "$1"
 }
-chaos "$trace_dir/c_a.txt"
-chaos "$trace_dir/c_b.txt"
-GNNADVISOR_SIM_THREADS=1 chaos "$trace_dir/c_t1.txt"
-GNNADVISOR_SIM_THREADS=4 chaos "$trace_dir/c_t4.txt"
-grep -q "batch retries" "$trace_dir/c_a.txt" || {
-  echo "FAIL: faulted serve-sim report missing reliability stats" >&2
-  exit 1
-}
-cmp "$trace_dir/c_a.txt" "$trace_dir/c_b.txt" || {
-  echo "FAIL: faulted serve-sim report differs between identical runs" >&2
-  exit 1
-}
-cmp "$trace_dir/c_t1.txt" "$trace_dir/c_t4.txt" || {
-  echo "FAIL: faulted serve-sim report depends on GNNADVISOR_SIM_THREADS" >&2
-  exit 1
-}
-cmp "$trace_dir/c_a.txt" "$trace_dir/c_t1.txt" || {
-  echo "FAIL: faulted serve-sim report depends on GNNADVISOR_SIM_THREADS" >&2
-  exit 1
-}
+smoke c "faulted serve-sim report" chaos \
+  "batch retries" "faulted serve-sim report missing reliability stats"
 
 echo "==> serve-cluster smoke: report stable across runs and worker counts"
 cluster() {
@@ -106,30 +102,9 @@ cluster() {
     serve-cluster --requests 32 --rate 4000 --streams 2 --scale 0.02 \
     --replicas 2 --tenants batch:3,online:1:40 --fault-rate 0.2 --retries 2 > "$1"
 }
-cluster "$trace_dir/k_a.txt"
-cluster "$trace_dir/k_b.txt"
-GNNADVISOR_SIM_THREADS=1 cluster "$trace_dir/k_t1.txt"
-GNNADVISOR_SIM_THREADS=4 cluster "$trace_dir/k_t4.txt"
-grep -q "tenant online" "$trace_dir/k_a.txt" || {
-  echo "FAIL: serve-cluster report missing tenant rows" >&2
-  exit 1
-}
-grep -q "replica submissions" "$trace_dir/k_a.txt" || {
-  echo "FAIL: serve-cluster report missing replica loads" >&2
-  exit 1
-}
-cmp "$trace_dir/k_a.txt" "$trace_dir/k_b.txt" || {
-  echo "FAIL: serve-cluster report differs between identical runs" >&2
-  exit 1
-}
-cmp "$trace_dir/k_t1.txt" "$trace_dir/k_t4.txt" || {
-  echo "FAIL: serve-cluster report depends on GNNADVISOR_SIM_THREADS" >&2
-  exit 1
-}
-cmp "$trace_dir/k_a.txt" "$trace_dir/k_t1.txt" || {
-  echo "FAIL: serve-cluster report depends on GNNADVISOR_SIM_THREADS" >&2
-  exit 1
-}
+smoke k "serve-cluster report" cluster \
+  "tenant online" "serve-cluster report missing tenant rows" \
+  "replica submissions" "serve-cluster report missing replica loads"
 
 echo "==> serve-dynamic smoke: report stable across runs and worker counts"
 dynamic() {
@@ -137,90 +112,27 @@ dynamic() {
     serve-dynamic --requests 32 --rate 4000 --streams 2 --scale 0.02 \
     --updates 600 --update-gap-ms 0.01 > "$1"
 }
-dynamic "$trace_dir/d_a.txt"
-dynamic "$trace_dir/d_b.txt"
-GNNADVISOR_SIM_THREADS=1 dynamic "$trace_dir/d_t1.txt"
-GNNADVISOR_SIM_THREADS=4 dynamic "$trace_dir/d_t4.txt"
-grep -q "dynamic-graph report" "$trace_dir/d_a.txt" || {
-  echo "FAIL: serve-dynamic report missing the dynamic-graph section" >&2
-  exit 1
-}
-grep -q "updates applied" "$trace_dir/d_a.txt" || {
-  echo "FAIL: serve-dynamic report missing the update counters" >&2
-  exit 1
-}
-cmp "$trace_dir/d_a.txt" "$trace_dir/d_b.txt" || {
-  echo "FAIL: serve-dynamic report differs between identical runs" >&2
-  exit 1
-}
-cmp "$trace_dir/d_t1.txt" "$trace_dir/d_t4.txt" || {
-  echo "FAIL: serve-dynamic report depends on GNNADVISOR_SIM_THREADS" >&2
-  exit 1
-}
-cmp "$trace_dir/d_a.txt" "$trace_dir/d_t1.txt" || {
-  echo "FAIL: serve-dynamic report depends on GNNADVISOR_SIM_THREADS" >&2
-  exit 1
-}
+smoke d "serve-dynamic report" dynamic \
+  "dynamic-graph report" "serve-dynamic report missing the dynamic-graph section" \
+  "updates applied" "serve-dynamic report missing the update counters"
 
 echo "==> train-minibatch smoke: report stable across runs and worker counts"
 minibatch() {
   cargo run --offline -q --bin gnnadvisor -- \
     train-minibatch --scale 0.02 --batch-size 96 --epochs 2 --fanout 6,3 > "$1"
 }
-minibatch "$trace_dir/m_a.txt"
-minibatch "$trace_dir/m_b.txt"
-GNNADVISOR_SIM_THREADS=1 minibatch "$trace_dir/m_t1.txt"
-GNNADVISOR_SIM_THREADS=4 minibatch "$trace_dir/m_t4.txt"
-grep -q "total: pipelined" "$trace_dir/m_a.txt" || {
-  echo "FAIL: train-minibatch report missing the pipeline totals" >&2
-  exit 1
-}
-grep -q "overlap" "$trace_dir/m_a.txt" || {
-  echo "FAIL: train-minibatch report missing the overlap column" >&2
-  exit 1
-}
-cmp "$trace_dir/m_a.txt" "$trace_dir/m_b.txt" || {
-  echo "FAIL: train-minibatch report differs between identical runs" >&2
-  exit 1
-}
-cmp "$trace_dir/m_t1.txt" "$trace_dir/m_t4.txt" || {
-  echo "FAIL: train-minibatch report depends on GNNADVISOR_SIM_THREADS" >&2
-  exit 1
-}
-cmp "$trace_dir/m_a.txt" "$trace_dir/m_t1.txt" || {
-  echo "FAIL: train-minibatch report depends on GNNADVISOR_SIM_THREADS" >&2
-  exit 1
-}
+smoke m "train-minibatch report" minibatch \
+  "total: pipelined" "train-minibatch report missing the pipeline totals" \
+  "overlap" "train-minibatch report missing the overlap column"
 
 echo "==> tune smoke: two-tier report stable across runs and worker counts"
 tune2() {
   cargo run --offline -q --release --bin gnnadvisor -- \
     tune --dataset Cora --scale 0.05 "${@:2}" > "$1"
 }
-tune2 "$trace_dir/u_a.txt"
-tune2 "$trace_dir/u_b.txt"
-GNNADVISOR_SIM_THREADS=1 tune2 "$trace_dir/u_t1.txt"
-GNNADVISOR_SIM_THREADS=4 tune2 "$trace_dir/u_t4.txt"
-grep -q "estimating (two-tier)" "$trace_dir/u_a.txt" || {
-  echo "FAIL: tune report missing the two-tier stage" >&2
-  exit 1
-}
-grep -q "calibration band" "$trace_dir/u_a.txt" || {
-  echo "FAIL: tune report missing the calibration band" >&2
-  exit 1
-}
-cmp "$trace_dir/u_a.txt" "$trace_dir/u_b.txt" || {
-  echo "FAIL: tune report differs between identical runs" >&2
-  exit 1
-}
-cmp "$trace_dir/u_t1.txt" "$trace_dir/u_t4.txt" || {
-  echo "FAIL: tune report depends on GNNADVISOR_SIM_THREADS" >&2
-  exit 1
-}
-cmp "$trace_dir/u_a.txt" "$trace_dir/u_t1.txt" || {
-  echo "FAIL: tune report depends on GNNADVISOR_SIM_THREADS" >&2
-  exit 1
-}
+smoke u "tune report" tune2 \
+  "estimating (two-tier)" "tune report missing the two-tier stage" \
+  "calibration band" "tune report missing the calibration band"
 # The fast path must price candidates at least 20x faster than full
 # simulation (release build, so the ratio is not a debug-mode artifact);
 # the measured ratio prints to stderr and failure surfaces as an error.
